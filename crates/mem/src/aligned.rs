@@ -27,6 +27,29 @@ impl AlignedBuf {
         buf
     }
 
+    /// Buffer holding the native-endian bytes of `values`, built in one
+    /// pass: each `f64` is one storage word.
+    pub fn from_f64(values: &[f64]) -> AlignedBuf {
+        AlignedBuf { words: values.iter().map(|v| v.to_bits()).collect(), len: values.len() * 8 }
+    }
+
+    /// Buffer holding the native-endian bytes of `values`, built in one
+    /// pass: two `f32`s per storage word (an odd tail leaves the last
+    /// word's upper half zero).
+    pub fn from_f32(values: &[f32]) -> AlignedBuf {
+        let words = values
+            .chunks(2)
+            .map(|pair| {
+                let mut word = [0u8; 8];
+                for (bytes, v) in word.chunks_exact_mut(4).zip(pair) {
+                    bytes.copy_from_slice(&v.to_ne_bytes());
+                }
+                u64::from_ne_bytes(word)
+            })
+            .collect();
+        AlignedBuf { words, len: values.len() * 4 }
+    }
+
     /// Length in bytes.
     #[inline]
     pub fn len(&self) -> usize {
@@ -108,6 +131,37 @@ mod tests {
         let (pre, mid, post) = unsafe { b.as_bytes().align_to::<f64>() };
         assert!(pre.is_empty() && post.is_empty());
         assert_eq!(mid, &values[..]);
+    }
+
+    #[test]
+    fn typed_constructors_round_trip_bit_patterns() {
+        let f64s = [
+            -0.0f64,
+            0.0,
+            f64::from_bits(0x7ff8_0000_dead_beef), // quiet NaN with a payload
+            f64::from_bits(0xfff0_0000_0000_0001), // signalling NaN, sign set
+            f64::MIN_POSITIVE / 2.0,               // subnormal
+            f64::INFINITY,
+            -1.5,
+        ];
+        let b = AlignedBuf::from_f64(&f64s);
+        let expected: Vec<u8> = f64s.iter().flat_map(|v| v.to_ne_bytes()).collect();
+        assert_eq!(b.as_bytes(), &expected[..]);
+        assert_eq!(b, AlignedBuf::from_bytes(&expected));
+        let (_, back, _) = unsafe { b.as_bytes().align_to::<f64>() };
+        assert!(back.iter().zip(&f64s).all(|(x, y)| x.to_bits() == y.to_bits()));
+
+        // Odd length exercises the half-filled last word.
+        let f32s = [-0.0f32, f32::from_bits(0x7fc0_1234), f32::from_bits(0xff80_0001), 3.25, -7.0];
+        let b = AlignedBuf::from_f32(&f32s);
+        let expected: Vec<u8> = f32s.iter().flat_map(|v| v.to_ne_bytes()).collect();
+        assert_eq!(b.len(), 20);
+        assert_eq!(b.as_bytes(), &expected[..]);
+        let (_, back, _) = unsafe { b.as_bytes().align_to::<f32>() };
+        assert!(back.iter().zip(&f32s).all(|(x, y)| x.to_bits() == y.to_bits()));
+
+        assert!(AlignedBuf::from_f64(&[]).is_empty());
+        assert!(AlignedBuf::from_f32(&[]).is_empty());
     }
 
     #[test]

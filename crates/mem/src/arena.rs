@@ -104,16 +104,23 @@ impl Arena {
     /// # Panics
     /// Panics if `data` already has a host buffer.
     pub fn alloc_host(&self, data: DataId, init: &[u8]) {
-        self.with_shard(MemSpace::HOST, data, |host| {
-            let prev = host.insert(data, Arc::new(AlignedBuf::from_bytes(init)));
-            assert!(prev.is_none(), "{data:?} allocated twice on host");
-        })
+        self.alloc_host_buf(data, AlignedBuf::from_bytes(init));
     }
 
     /// Create a zero-filled host buffer of `len` bytes for `data`.
     pub fn alloc_host_zeroed(&self, data: DataId, len: usize) {
+        self.alloc_host_buf(data, AlignedBuf::zeroed(len));
+    }
+
+    /// Install an already built buffer as the host copy of `data` (see
+    /// [`AlignedBuf::from_f64`] for building one from typed values
+    /// without an intermediate byte vector).
+    ///
+    /// # Panics
+    /// Panics if `data` already has a host buffer.
+    pub fn alloc_host_buf(&self, data: DataId, buf: AlignedBuf) {
         self.with_shard(MemSpace::HOST, data, |host| {
-            let prev = host.insert(data, Arc::new(AlignedBuf::zeroed(len)));
+            let prev = host.insert(data, Arc::new(buf));
             assert!(prev.is_none(), "{data:?} allocated twice on host");
         })
     }

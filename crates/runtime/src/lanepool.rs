@@ -2,10 +2,10 @@
 //!
 //! The seed's parallel kernels opened a `std::thread::scope` — i.e. spawned
 //! and joined OS threads — on *every* kernel invocation. A `LanePool` is
-//! created once per emulated-GPU worker and lives for the whole run: its
-//! lane threads park on a condvar between batches, so executing a
-//! multi-lane kernel costs a wake-up instead of `lanes − 1` `thread::spawn`
-//! calls per task.
+//! owned by an emulated-GPU worker's exec thread and lives as long as the
+//! runtime: its lane threads park on a condvar between batches, so
+//! executing a multi-lane kernel costs a wake-up instead of `lanes − 1`
+//! `thread::spawn` calls per task.
 //!
 //! The pool implements [`LaneExec`], the executor abstraction the kernels
 //! crate parallelizes over, so kernels are oblivious to whether their

@@ -5,25 +5,35 @@
 //! worker whose kernels may parallelize over [`NativeConfig::gpu_lanes`]
 //! cores and whose memory is a separate arena space — it genuinely cannot
 //! read host buffers, so the coherence machinery is exercised for real.
-//! Each emulated-GPU worker owns a persistent [`LanePool`]: its lane
-//! threads are spawned once when the worker starts and parked between
-//! kernels, so running a multi-lane kernel never spawns an OS thread.
-//! Kernels reach the pool through [`KernelCtx::exec`] (or the
-//! [`KernelCtx::par_bands`] convenience). Task durations reported to the
-//! scheduler are wall-clock kernel times, so the versioning scheduler
-//! learns real device speed ratios.
+//! Kernels reach an emulated GPU's [`LanePool`] through
+//! [`KernelCtx::exec`] (or the [`KernelCtx::par_bands`] convenience).
+//! Task durations reported to the scheduler are wall-clock kernel times,
+//! so the versioning scheduler learns real device speed ratios.
+//!
+//! Thread lifecycle: every worker owns a stager and an exec thread, and
+//! an emulated GPU's exec thread owns its lane pool. The runtime starts
+//! them at its first native run, [`Runtime::attach_remote_node`] adds
+//! threads for the workers it creates, they park on their channels
+//! between runs (and between a service's waves), and they are joined
+//! when the runtime drops. A run therefore costs channel wakeups, never
+//! a thread spawn; per-run state (epoch, trace sink) travels with the
+//! work messages. Copy-ins either overlap on the stagers or, with
+//! `async_transfers = false`, are staged *inline* by the coordinator in
+//! plan order — one coordinator loop drives both (DESIGN.md §2.2).
 
 use crate::assign::drain_pool;
 use crate::lanepool::LanePool;
+use crate::remote::RemotePlan;
 use crate::report::{FailureReport, RunError, TaskFailure, WorkerTransferStats};
 use crate::runtime::{EngineKind, NativeFn};
 use crate::{RunReport, Runtime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use versa_core::{FailureKind, TaskId, TemplateId, VersionId, WorkerId};
+use versa_core::{FailureKind, TaskId, TemplateId, VersionId, WorkerId, WorkerState};
 use versa_kernels::chunk_ranges;
 use versa_kernels::exec::{LaneExec, SerialExec};
 use versa_mem::{
@@ -255,6 +265,7 @@ impl<'a> KernelCtx<'a> {
     }
 }
 
+/// One task execution as an exec thread sees it.
 struct WorkItem {
     task: TaskId,
     kernel: NativeFn,
@@ -267,9 +278,30 @@ struct WorkItem {
     attempt: u32,
 }
 
-enum Msg {
-    Work(WorkItem),
-    Stop,
+/// Per-run state the long-lived pipeline threads need. It travels with
+/// every work message, so the threads themselves outlive any one run.
+struct RunCtx {
+    /// The run's epoch: trace stamps and overlap spans are offsets from it.
+    wall0: Instant,
+    sink: Option<Arc<TraceSink>>,
+    /// Template names for remote dispatch (closures don't cross the
+    /// wire; remote processes resolve templates by name against their
+    /// own registries). Empty without remote nodes.
+    names: HashMap<TemplateId, String>,
+}
+
+impl RunCtx {
+    fn now(&self) -> Ts {
+        ts(self.wall0)
+    }
+
+    /// Record an event into `worker`'s lane (`None`: the coordinator's).
+    /// The event is only built when tracing is on.
+    fn record(&self, worker: Option<WorkerId>, event: impl FnOnce() -> TraceEvent) {
+        if let Some(sink) = &self.sink {
+            sink.record(worker.map_or(sink.coordinator(), |w| w.index()), event());
+        }
+    }
 }
 
 /// Extract a readable message from a panic payload.
@@ -292,137 +324,56 @@ fn throttle_link(link_bandwidth: Option<u64>, bytes: u64, spent: Duration) {
     }
 }
 
-/// One worker thread: receive tasks, run kernels against this worker's
-/// arena space, report wall-clock kernel durations. Multi-lane workers
-/// build their lane pool here, once, before the first task arrives.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    rx: mpsc::Receiver<Msg>,
-    done: mpsc::Sender<(WorkerId, TaskId, Result<Duration, WorkFailure>)>,
-    arena: Arc<Arena>,
-    space: versa_mem::MemSpace,
-    lanes: usize,
-    wid: WorkerId,
-    sink: Option<Arc<TraceSink>>,
-    wall0: Instant,
-) {
-    let pool = (lanes > 1).then(|| LanePool::new(lanes));
-    let exec: &dyn LaneExec = match &pool {
-        Some(pool) => pool,
-        None => &SerialExec,
-    };
-    while let Ok(Msg::Work(item)) = rx.recv() {
-        let task = item.task;
-        let (version, template, attempt) = (item.version, item.template, item.attempt);
-        // This thread records its own lifecycle events into its own lane,
-        // so per-worker spans are monotonic by construction.
-        if let Some(sink) = &sink {
-            sink.record(
-                wid.index(),
-                TraceEvent::TaskStart { time: ts(wall0), task, worker: wid, version, template, attempt },
-            );
-        }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_item(item, &arena, space, exec)
-        }))
-        .map_err(|p| WorkFailure { message: panic_message(p), kind: FailureKind::Panic });
-        if let Some(sink) = &sink {
-            let ev = match &outcome {
-                Ok(measured) => TraceEvent::TaskEnd {
-                    time: ts(wall0),
-                    task,
-                    worker: wid,
-                    kernel_ns: measured.as_nanos() as u64,
-                },
-                Err(_) => TraceEvent::TaskFailed { time: ts(wall0), task, worker: wid, version, attempt },
-            };
-            sink.record(wid.index(), ev);
-        }
-        done.send((wid, task, outcome)).expect("coordinator hung up");
-    }
+/// How a task execution failed: the message plus the failure class the
+/// scheduler is charged with (`Panic` for kernel failures, `NodeLost`
+/// when the hosting remote node disappeared).
+struct WorkFailure {
+    message: String,
+    kind: FailureKind,
 }
 
-/// How a sync-engine task execution failed: the message plus the failure
-/// class the scheduler is charged with (`Panic` for kernel failures,
-/// `NodeLost` when the hosting remote node disappeared).
-pub(crate) struct WorkFailure {
-    pub message: String,
-    pub kind: FailureKind,
-}
-
-/// The worker shim for a remote node: same channel discipline as
-/// [`worker_loop`], but the kernel runs on the remote machine. Copy-ins
-/// were already shipped at transfer time, so the request carries only
-/// metadata; returned output buffers are written back into the
-/// coordinator's mirror space before completion is reported, keeping
-/// every later read local.
-#[allow(clippy::too_many_arguments)]
-fn remote_worker_loop(
-    rx: mpsc::Receiver<Msg>,
-    done: mpsc::Sender<(WorkerId, TaskId, Result<Duration, WorkFailure>)>,
-    node: Arc<dyn crate::remote::RemoteNode>,
-    arena: Arc<Arena>,
-    space: versa_mem::MemSpace,
-    wid: WorkerId,
-    names: Arc<HashMap<TemplateId, String>>,
-    sink: Option<Arc<TraceSink>>,
-    wall0: Instant,
-) {
+/// The exec side of a remote worker: the kernel runs on the remote
+/// machine. Copy-ins were already shipped at transfer time, so the
+/// request carries only metadata; returned output buffers are written
+/// back into the coordinator's mirror space before completion is
+/// reported, keeping every later read local.
+fn execute_remote(
+    node: &dyn crate::remote::RemoteNode,
+    arena: &Arena,
+    space: MemSpace,
+    item: WorkItem,
+    run: &RunCtx,
+) -> Result<Duration, WorkFailure> {
     use crate::remote::{RemoteAccess, RemoteError, RemoteExec};
-    while let Ok(Msg::Work(item)) = rx.recv() {
-        let task = item.task;
-        let (version, template, attempt) = (item.version, item.template, item.attempt);
-        if let Some(sink) = &sink {
-            sink.record(
-                wid.index(),
-                TraceEvent::TaskStart { time: ts(wall0), task, worker: wid, version, template, attempt },
-            );
+    let req = RemoteExec {
+        task: item.task,
+        template: run.names.get(&item.template).cloned().unwrap_or_default(),
+        version: item.version,
+        attempt: item.attempt,
+        accesses: item
+            .accesses
+            .iter()
+            .map(|(region, mode)| RemoteAccess {
+                region: *region,
+                mode: *mode,
+                // The mirror buffer exists for every access (perform
+                // for reads, ensure for outputs), so its length is
+                // the allocation length the node must materialize.
+                alloc_len: arena.read_arc(region.data, space).len() as u64,
+            })
+            .collect(),
+    };
+    match node.exec(&req) {
+        Ok(reply) => {
+            for (data, bytes) in &reply.writes {
+                arena.write(*data, space, bytes);
+            }
+            Ok(reply.kernel_time)
         }
-        let req = RemoteExec {
-            task,
-            template: names.get(&template).cloned().unwrap_or_default(),
-            version,
-            attempt,
-            accesses: item
-                .accesses
-                .iter()
-                .map(|(region, mode)| RemoteAccess {
-                    region: *region,
-                    mode: *mode,
-                    // The mirror buffer exists for every access (perform
-                    // for reads, ensure for outputs), so its length is
-                    // the allocation length the node must materialize.
-                    alloc_len: arena.read_arc(region.data, space).len() as u64,
-                })
-                .collect(),
-        };
-        let outcome = match node.exec(&req) {
-            Ok(reply) => {
-                for (data, bytes) in &reply.writes {
-                    arena.write(*data, space, bytes);
-                }
-                Ok(reply.kernel_time)
-            }
-            Err(RemoteError::Task(message)) => {
-                Err(WorkFailure { message, kind: FailureKind::Panic })
-            }
-            Err(RemoteError::Lost(message)) => {
-                Err(WorkFailure { message, kind: FailureKind::NodeLost })
-            }
-        };
-        if let Some(sink) = &sink {
-            let ev = match &outcome {
-                Ok(measured) => TraceEvent::TaskEnd {
-                    time: ts(wall0),
-                    task,
-                    worker: wid,
-                    kernel_ns: measured.as_nanos() as u64,
-                },
-                Err(_) => TraceEvent::TaskFailed { time: ts(wall0), task, worker: wid, version, attempt },
-            };
-            sink.record(wid.index(), ev);
+        Err(RemoteError::Task(message)) => Err(WorkFailure { message, kind: FailureKind::Panic }),
+        Err(RemoteError::Lost(message)) => {
+            Err(WorkFailure { message, kind: FailureKind::NodeLost })
         }
-        done.send((wid, task, outcome)).expect("coordinator hung up");
     }
 }
 
@@ -433,7 +384,7 @@ pub(crate) fn execute_detached(
     kernel: NativeFn,
     accesses: Vec<(Region, AccessMode)>,
     arena: &Arena,
-    space: versa_mem::MemSpace,
+    space: MemSpace,
 ) -> Result<Duration, String> {
     let item = WorkItem {
         task: TaskId(0),
@@ -451,12 +402,7 @@ pub(crate) fn execute_detached(
 
 /// Run one task's kernel against this worker's arena space, returning the
 /// wall-clock kernel time.
-fn execute_item(
-    item: WorkItem,
-    arena: &Arena,
-    space: versa_mem::MemSpace,
-    exec: &dyn LaneExec,
-) -> Duration {
+fn execute_item(item: WorkItem, arena: &Arena, space: MemSpace, exec: &dyn LaneExec) -> Duration {
     // Buffers this task writes are taken out of the arena for the
     // kernel's duration; read-only arguments that don't alias them keep a
     // shared handle to the arena's buffer — no copy. Concurrent transfers
@@ -497,430 +443,30 @@ fn execute_item(
     })
 }
 
-/// Run every submitted task to completion on real threads.
-///
-/// A kernel panic does not take the process down: the worker catches the
-/// unwind, the coordinator rolls the task back to the ready frontier
-/// (worker bookkeeping unwound, buffers restored by the arena's unwind
-/// guard), reports the failure to the scheduler (quarantine accounting),
-/// and retries elsewhere — until
-/// [`RuntimeConfig::max_task_retries`](crate::RuntimeConfig) is
-/// exhausted, which aborts with a [`RunError`] carrying the partial
-/// report.
-///
-/// With `max_dispatch` set, at most that many tasks are dispatched this
-/// call (a *wave*); everything dispatched drains before returning, and
-/// ready tasks beyond the budget stay pooled in the runtime.
-///
-/// Two data-movement modes, selected by
-/// [`RuntimeConfig::async_transfers`](crate::RuntimeConfig):
-/// the historical synchronous path performs every copy-in on the
-/// coordinator before dispatch; the overlapped path (default) plans
-/// transfers on the coordinator but executes the byte movement on
-/// per-worker staging lanes, with a bounded lookahead so the next task's
-/// inputs stage under the current kernel (DESIGN.md §2.2).
-pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
-    // Remote nodes ride the synchronous engine (ship-at-transfer-time
-    // needs coordinator-ordered copies); attach_remote_node already
-    // clears async_transfers, the check here is belt and braces.
-    if rt.config.async_transfers && rt.remotes.is_empty() {
-        run_native_async(rt, max_dispatch)
-    } else {
-        run_native_sync(rt, max_dispatch)
-    }
-}
-
-/// The fully synchronous engine: copy-ins happen on the coordinator
-/// thread, in plan order, before each dispatch. Kept byte-identical to
-/// the pre-staging behaviour (same `TransferStats`, same assignment
-/// order) as the fallback for `async_transfers = false`.
-fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
-    let EngineKind::Native { cfg, arena } = &rt.engine else {
-        unreachable!("run_native on a non-native runtime")
-    };
-    let cfg = cfg.clone();
-    let arena = Arc::clone(arena);
-    let plan = rt.remote_plan();
-    // Template names for remote dispatch (closures don't cross the wire;
-    // remote processes resolve templates by name against their own
-    // registries).
-    let names: Arc<HashMap<TemplateId, String>> = Arc::new(
-        rt.templates
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TemplateId(i as u32), t.name.clone()))
-            .collect(),
-    );
-    let wall0 = Instant::now();
-
-    let mut stats = TransferStats::default();
-    let mut version_counts: HashMap<(TemplateId, VersionId), u64> = HashMap::new();
-    let mut worker_counts = vec![0u64; rt.workers.len()];
-    let mut worker_busy = vec![Duration::ZERO; rt.workers.len()];
-    let mut worker_transfers = vec![WorkerTransferStats::default(); rt.workers.len()];
-    let mut tasks_executed = 0u64;
-    let budget = max_dispatch.unwrap_or(u64::MAX);
-    let mut dispatched = 0u64;
-    let mut failures = FailureReport::default();
-    let mut attempts: HashMap<TaskId, u32> = HashMap::new();
-    let mut abort: Option<(TaskId, String)> = None;
-    // Nodes already declared lost — workers retired, loss event recorded.
-    let mut lost_nodes: std::collections::HashSet<u16> = std::collections::HashSet::new();
-    // Lost nodes whose `NodeLost` trace event is deferred until every task
-    // still in flight on the node has reported back: worker threads stamp
-    // `TaskStart` on their own clocks, so recording the loss at detection
-    // time can predate a sibling worker's already-running start. Draining
-    // first guarantees the loss stamp postdates every start on the node.
-    let mut deferred_loss: Vec<u16> = Vec::new();
-    let node_count = plan.node_of_worker.iter().copied().max().map_or(1, |m| m as usize + 1);
-
-    let sink = TraceSink::from_config(&rt.config.tracing, rt.workers.len());
-    let log_here = crate::tracing::begin_decision_log(rt, &sink);
-    crate::tracing::record_live_created(rt, &sink, ts(wall0));
-
-    let (done_tx, done_rx) = mpsc::channel();
-
-    std::thread::scope(|scope| {
-        // The work senders live *inside* the scope: if the coordinator
-        // panics mid-run, unwinding drops them, every worker's `recv`
-        // fails, the workers exit, and the scope join completes — the
-        // panic propagates instead of deadlocking.
-        let mut work_txs: Vec<mpsc::Sender<Msg>> = Vec::with_capacity(rt.workers.len());
-        for w in rt.workers.iter() {
-            let (tx, rx) = mpsc::channel();
-            work_txs.push(tx);
-            let done = done_tx.clone();
-            let arena = Arc::clone(&arena);
-            let info = w.info;
-            let lanes = if info.device.shares_host_memory() { 1 } else { cfg.gpu_lanes };
-            let wsink = sink.clone();
-            if let Some(node) = plan.by_space.get(&info.space) {
-                let node = Arc::clone(node);
-                let names = Arc::clone(&names);
-                scope.spawn(move || {
-                    remote_worker_loop(rx, done, node, arena, info.space, info.id, names, wsink, wall0)
-                });
-            } else {
-                scope.spawn(move || {
-                    worker_loop(rx, done, arena, info.space, lanes, info.id, wsink, wall0)
-                });
-            }
-        }
-        // Workers hold the only senders now: if they all die, recv()
-        // errors instead of hanging the coordinator forever.
-        drop(done_tx);
-
-        let mut in_flight = 0usize;
-        let mut node_inflight = vec![0usize; node_count];
-
-        // Assign + dispatch everything currently assignable within the
-        // wave budget. Transfers are performed synchronously here
-        // (coordinator order matches directory order, so sources are
-        // always materialized in time). The ready pool lives in the
-        // runtime so over-budget tasks carry to the next wave.
-        let dispatch = |rt: &mut Runtime,
-                            in_flight: &mut usize,
-                            node_inflight: &mut Vec<usize>,
-                            dispatched: &mut u64,
-                            stats: &mut TransferStats,
-                            worker_transfers: &mut Vec<WorkerTransferStats>,
-                            attempts: &HashMap<TaskId, u32>| {
-            let newly = rt.graph.take_newly_ready();
-            if let Some(sink) = &sink {
-                let lane = sink.coordinator();
-                for &tid in &newly {
-                    sink.record(lane, TraceEvent::TaskReady { time: ts(wall0), task: tid });
-                }
-            }
-            rt.pending.extend(newly);
-            let remaining = budget - *dispatched;
-            if remaining == 0 {
-                return;
-            }
-            if rt.config.fair_scheduling {
-                rt.fair.order(&mut rt.pending, &rt.graph);
-            }
-            let assigned = drain_pool(
-                &mut rt.pending,
-                rt.scheduler.as_mut(),
-                &rt.templates,
-                &mut rt.workers,
-                &rt.directory,
-                &mut rt.graph,
-                (budget != u64::MAX).then_some(remaining as usize),
-                rt.config.batched_bids,
-            );
-            *dispatched += assigned.len() as u64;
-            if rt.config.fair_scheduling {
-                rt.fair.note_dispatched(&rt.graph, assigned.iter().map(|(t, _)| t));
-            }
-            crate::tracing::drain_decisions(rt, &sink, ts(wall0));
-            for (tid, a) in assigned {
-                let wi = a.worker.index();
-                let space = rt.workers[wi].info.space;
-                let accesses = rt.graph.node(tid).instance.accesses.clone();
-                for (region, mode) in &accesses {
-                    if let Some(t) = rt.directory.acquire(region.data, space, *mode) {
-                        let t_start = ts(wall0);
-                        let t0 = Instant::now();
-                        arena.perform(&t);
-                        if let Some(node) = plan.by_space.get(&t.to) {
-                            // Mirror-space destination: push the bytes over
-                            // the wire inside the timed window, so the
-                            // elapsed time fed to `transfer_done` below is
-                            // the real NIC cost and the scheduler's
-                            // bandwidth EWMA learns the link. A transport
-                            // error is deferred: the exec on the dead node
-                            // fails with `NodeLost` and the retry machinery
-                            // takes over.
-                            let buf = arena.read_arc(t.data, t.to);
-                            let _ = node.ship(t.data, buf.as_bytes());
-                        }
-                        throttle_link(cfg.link_bandwidth, t.bytes, t0.elapsed());
-                        stats.record(t.kind(), t.bytes);
-                        if let Some(sink) = &sink {
-                            sink.record(
-                                sink.coordinator(),
-                                TraceEvent::Transfer {
-                                    start: t_start,
-                                    end: ts(wall0),
-                                    data: t.data,
-                                    from: t.from,
-                                    to: t.to,
-                                    bytes: t.bytes,
-                                    by: Some(a.worker),
-                                },
-                            );
-                        }
-                        let wt = &mut worker_transfers[wi];
-                        wt.staged_bytes += t.bytes;
-                        wt.staged_count += 1;
-                        wt.stage_time += t0.elapsed();
-                        rt.scheduler.transfer_done(t.to, t.bytes, t0.elapsed());
-                    }
-                    if mode.writes() {
-                        // Output-only accesses get no copy-in, but the
-                        // kernel still needs backing memory in `space`.
-                        arena.ensure(region.data, space, rt.directory.bytes(region.data) as usize);
-                    }
-                }
-                let template = rt.graph.node(tid).instance.template;
-                let kernel = if plan.by_space.contains_key(&space) {
-                    // Remote worker: the kernel runs on the node; the shim
-                    // ignores this placeholder.
-                    Arc::new(|_: &mut KernelCtx<'_>| {}) as NativeFn
-                } else {
-                    rt.kernels
-                        .get(&(template, a.version))
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "no native kernel bound for ({:?}, {:?})",
-                                rt.templates.get(template).name,
-                                a.version
-                            )
-                        })
-                        .clone()
-                };
-                rt.graph.mark_running(tid);
-                work_txs[a.worker.index()]
-                    .send(Msg::Work(WorkItem {
-                        task: tid,
-                        kernel,
-                        accesses,
-                        version: a.version,
-                        template,
-                        attempt: attempts.get(&tid).copied().unwrap_or(0) + 1,
-                    }))
-                    .expect("worker thread died");
-                *in_flight += 1;
-                node_inflight[plan.node_of_worker[a.worker.index()] as usize] += 1;
-            }
-        };
-
-        dispatch(rt, &mut in_flight, &mut node_inflight, &mut dispatched, &mut stats, &mut worker_transfers, &attempts);
-
-        while !rt.graph.all_done() {
-            if in_flight == 0 && dispatched >= budget {
-                break; // wave budget spent, everything dispatched drained
-            }
-            assert!(
-                in_flight > 0,
-                "native engine stalled with {} live tasks and {} pooled tasks",
-                rt.graph.live_tasks(),
-                rt.pending.len()
-            );
-            let (wid, tid, outcome) = done_rx.recv().expect("all workers died");
-            in_flight -= 1;
-            node_inflight[plan.node_of_worker[wid.index()] as usize] -= 1;
-
-            let q = rt.workers[wid.index()]
-                .start_next()
-                .expect("completion from a worker with an empty queue");
-            assert_eq!(q.task, tid, "worker completions must be FIFO");
-            rt.workers[wid.index()].finish(tid);
-
-            match outcome {
-                Ok(measured) => {
-                    rt.graph.complete(tid, wid);
-                    let assignment =
-                        rt.graph.node(tid).assignment.expect("completed task was assigned");
-                    rt.scheduler.task_finished(&rt.graph.node(tid).instance, assignment, measured);
-                    *version_counts
-                        .entry((rt.graph.node(tid).instance.template, assignment.version))
-                        .or_insert(0) += 1;
-                    worker_counts[wid.index()] += 1;
-                    worker_busy[wid.index()] += measured;
-                    worker_transfers[wid.index()].compute_time += measured;
-                    tasks_executed += 1;
-                }
-                Err(fail) => {
-                    let assignment =
-                        rt.graph.node(tid).assignment.expect("failed task was assigned");
-                    let attempt = {
-                        let n = attempts.entry(tid).or_insert(0);
-                        *n += 1;
-                        *n
-                    };
-                    failures.events.push(TaskFailure {
-                        task: tid,
-                        template: rt.graph.node(tid).instance.template,
-                        version: assignment.version,
-                        worker: wid,
-                        kind: fail.kind,
-                        message: fail.message.clone(),
-                        attempt,
-                    });
-                    rt.scheduler.task_failed(
-                        &rt.graph.node(tid).instance,
-                        assignment,
-                        fail.kind,
-                    );
-                    if fail.kind == FailureKind::NodeLost {
-                        // Charge the node, not the version: retire every
-                        // worker the lost node hosted so the scheduler
-                        // stops placing work there, record the loss once,
-                        // and requeue unconditionally — node loss never
-                        // burns the task's retry budget.
-                        let node = plan.node_of_worker[wid.index()];
-                        if lost_nodes.insert(node) {
-                            for (i, w) in rt.workers.iter_mut().enumerate() {
-                                if plan.node_of_worker[i] == node {
-                                    w.retire();
-                                }
-                            }
-                            // Recorded once the node's in-flight tasks have
-                            // drained back (see `deferred_loss`), so the
-                            // loss stamp postdates every start on the node.
-                            deferred_loss.push(node);
-                        }
-                    } else if attempt > rt.config.max_task_retries {
-                        abort = Some((tid, fail.message));
-                        break;
-                    }
-                    rt.graph.requeue(tid);
-                    failures.retries += 1;
-                }
-            }
-
-            deferred_loss.retain(|&node| {
-                if node_inflight[node as usize] > 0 {
-                    return true;
-                }
-                if let Some(sink) = &sink {
-                    sink.record(sink.coordinator(), TraceEvent::NodeLost { time: ts(wall0), node });
-                }
-                false
-            });
-
-            dispatch(rt, &mut in_flight, &mut node_inflight, &mut dispatched, &mut stats, &mut worker_transfers, &attempts);
-        }
-
-        for tx in &work_txs {
-            let _ = tx.send(Msg::Stop);
-        }
-    });
-
-    // An abort or spent wave budget can leave a loss deferred; the worker
-    // threads have joined by now, so a stamp taken here postdates every
-    // start they recorded.
-    if let Some(sink) = &sink {
-        for node in deferred_loss.drain(..) {
-            sink.record(sink.coordinator(), TraceEvent::NodeLost { time: ts(wall0), node });
-        }
-    }
-
-    // An aborted run skips the flush (the graph still has live tasks and
-    // the caller gets the partial report through the error); a partial
-    // wave skips it too, leaving data in place for the next wave.
-    if abort.is_none() && rt.config.flush_on_wait && rt.graph.all_done() {
-        for t in rt.directory.flush_all_to_host() {
-            let t_start = ts(wall0);
-            let t0 = Instant::now();
-            arena.perform(&t);
-            throttle_link(cfg.link_bandwidth, t.bytes, t0.elapsed());
-            stats.record(t.kind(), t.bytes);
-            if let Some(sink) = &sink {
-                sink.record(
-                    sink.coordinator(),
-                    TraceEvent::Transfer {
-                        start: t_start,
-                        end: ts(wall0),
-                        data: t.data,
-                        from: t.from,
-                        to: t.to,
-                        bytes: t.bytes,
-                        by: None,
-                    },
-                );
-            }
-            rt.scheduler.transfer_done(t.to, t.bytes, t0.elapsed());
-        }
-    }
-
-    crate::tracing::end_decision_log(rt, log_here);
-    failures.quarantined = rt.quarantined_versions();
-    let report = RunReport {
-        scheduler: rt.scheduler.name().to_string(),
-        makespan: wall0.elapsed(),
-        tasks_executed,
-        transfers: stats,
-        version_counts,
-        worker_task_counts: worker_counts,
-        worker_busy,
-        worker_transfers,
-        completed: rt.graph.all_done(),
-        profile_table: rt
-            .scheduler
-            .as_versioning()
-            .map(|v| v.profiles().render_table(&rt.templates)),
-        trace: sink.map(|s| s.drain(crate::tracing::trace_meta(rt, "native"))),
-        failures,
-    };
-    match abort {
-        Some((task, message)) => {
-            Err(RunError { task, kind: FailureKind::Panic, message, report: Box::new(report) })
-        }
-        None => Ok(report),
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Overlapped transfer pipeline (async_transfers = true)
+// The pipeline
 // ---------------------------------------------------------------------------
 //
-// Per worker, two pipeline threads replace the single worker thread:
+// Per worker, two long-lived threads:
 //
 //   coordinator ──plan──▶ outbox ──▶ stager ──▶ exec ──done──▶ coordinator
 //
-// The coordinator still performs every directory transition (acquire,
+// The coordinator performs every directory transition (acquire,
 // snapshot, rollback) single-threaded, in plan order — decisions stay
-// deterministic. What moves off the coordinator is the byte movement:
-// each planned task becomes a `StagedItem` whose `StageOp`s the worker's
-// *stager* thread executes (waiting on in-flight sources via the
-// `StagingLedger`'s `ReadyCell`s), after which the item flows to the
-// *exec* thread that runs the kernel. At most `lookahead_depth + 1`
-// items occupy a worker's pipeline, so the next task's inputs stage
-// while the current kernel computes.
+// deterministic. With overlapped staging each planned task becomes a
+// `StagedItem` whose `StageOp`s the worker's *stager* executes (waiting
+// on in-flight sources via the `StagingLedger`'s `ReadyCell`s), after
+// which the item flows to the *exec* thread that runs the kernel. At most
+// `lookahead_depth + 1` items occupy a worker's pipeline, so the next
+// task's inputs stage while the current kernel computes.
+//
+// With *inline staging* (`async_transfers = false`, and always once a
+// remote node is attached) the coordinator performs each copy itself, in
+// plan order, before it hands the task straight to the exec thread.
+//
+// The threads start at a runtime's first native run (and for every
+// worker `attach_remote_node` adds later), park on their channels between
+// runs, and are joined when the runtime drops.
 
 /// One step of a staged item's pre-kernel pipeline, planned by the
 /// coordinator, executed by the destination worker's stager.
@@ -943,52 +489,35 @@ enum StageOp {
     Ensure { data: DataId, len: usize },
 }
 
-/// A planned task travelling through one worker's staging pipeline.
-struct StagedItem {
-    task: TaskId,
-    kernel: NativeFn,
-    accesses: Vec<(Region, AccessMode)>,
-    ops: Vec<StageOp>,
-    /// Trace identity of this execution attempt (see [`WorkItem`]).
-    version: VersionId,
-    template: TemplateId,
-    attempt: u32,
-}
-
-/// If an item is dropped without being staged (coordinator unwound with
-/// the item still in an outbox), its publish cells must resolve — a
-/// stager on another worker may be blocked waiting on one.
-impl Drop for StagedItem {
+/// A copy dropped before it was performed (its item abandoned, or still
+/// queued when the coordinator unwound) must resolve its publish cell —
+/// a stager on another worker may be blocked waiting on it. A performed
+/// copy already published, which makes this a no-op.
+impl Drop for StageOp {
     fn drop(&mut self) {
-        for op in &self.ops {
-            if let StageOp::Copy { publish, .. } = op {
-                publish.publish_failed_if_pending("staged item dropped before execution");
-            }
+        if let StageOp::Copy { publish, .. } = self {
+            publish.publish_failed_if_pending("staged item dropped before execution");
         }
     }
 }
 
-enum StageMsg {
-    Work(StagedItem),
-    Stop,
+/// A planned task travelling through one worker's staging pipeline.
+struct StagedItem {
+    work: WorkItem,
+    run: Arc<RunCtx>,
+    ops: Vec<StageOp>,
 }
 
+/// The copies a stager made for one item, returned with the item's
+/// outcome: `(bytes, start, end)` per copy, offsets from the run's epoch
+/// in ns. Empty under inline staging, where the coordinator accounts for
+/// its own copies as it makes them.
+type Staged = Vec<(u64, u64, u64)>;
+
+/// Work for an exec thread: a staged task, or a stager's failure notice
+/// (forwarded as an outcome so per-worker completions stay FIFO).
 enum ExecMsg {
-    Run {
-        task: TaskId,
-        kernel: NativeFn,
-        accesses: Vec<(Region, AccessMode)>,
-        /// Total staging time, ns.
-        stage_ns: u64,
-        /// Per-copy `(start, end)` offsets from the run's epoch, ns.
-        stage_spans: Vec<(u64, u64)>,
-        /// Per-copy `(bytes, ns)` bandwidth samples.
-        samples: Vec<(u64, u64)>,
-        /// Trace identity of this execution attempt (see [`WorkItem`]).
-        version: VersionId,
-        template: TemplateId,
-        attempt: u32,
-    },
+    Run { work: WorkItem, run: Arc<RunCtx>, staged: Staged },
     Failed {
         task: TaskId,
         msg: String,
@@ -997,7 +526,6 @@ enum ExecMsg {
         /// it is requeued without charging a retry.
         upstream: bool,
     },
-    Stop,
 }
 
 /// What the exec thread reports back to the coordinator per task.
@@ -1006,13 +534,13 @@ enum Outcome {
         kernel: Duration,
         /// Kernel `(start, end)` offsets from the run's epoch, ns.
         kernel_span: (u64, u64),
-        stage_ns: u64,
-        stage_spans: Vec<(u64, u64)>,
-        samples: Vec<(u64, u64)>,
+        staged: Staged,
     },
-    Panicked(String),
+    Failed(WorkFailure),
     StageFailed { msg: String, upstream: bool },
 }
+
+type Completion = (WorkerId, TaskId, Outcome);
 
 /// Undo record for one task's optimistic directory updates, applied in
 /// reverse push order when its staging fails.
@@ -1030,97 +558,74 @@ enum Rollback {
 /// The staging lane of one worker: executes `StageOp`s in plan order,
 /// then forwards the item to the exec thread (or a failure notice, so
 /// per-worker completion order stays FIFO).
-#[allow(clippy::too_many_arguments)]
 fn stager_loop(
-    rx: mpsc::Receiver<StageMsg>,
+    rx: mpsc::Receiver<StagedItem>,
     tx: mpsc::Sender<ExecMsg>,
     arena: Arc<Arena>,
     space: MemSpace,
     link_bandwidth: Option<u64>,
-    wall0: Instant,
     wid: WorkerId,
-    sink: Option<Arc<TraceSink>>,
 ) {
-    // Every planned `Copy` gets exactly one Transfer event — a real span
-    // on success, a truncated (or empty) span when the copy faults or is
-    // abandoned — so traced bytes reconcile with plan-time TransferStats.
-    let record_copy = |t: &Transfer, start: Ts, end: Ts| {
-        if let Some(sink) = &sink {
-            sink.record(
-                wid.index(),
-                TraceEvent::Transfer {
-                    start,
-                    end,
-                    data: t.data,
-                    from: t.from,
-                    to: t.to,
-                    bytes: t.bytes,
-                    by: Some(wid),
-                },
-            );
-        }
-    };
-    while let Ok(StageMsg::Work(mut item)) = rx.recv() {
-        let task = item.task;
-        let kernel = item.kernel.clone();
-        let accesses = std::mem::take(&mut item.accesses);
-        let (version, template, attempt) = (item.version, item.template, item.attempt);
-        // Taking the ops out disarms StagedItem's drop guard; from here
-        // every cell is resolved explicitly.
-        let mut ops = std::mem::take(&mut item.ops).into_iter();
-        drop(item);
-
-        let mut stage_ns = 0u64;
-        let mut stage_spans: Vec<(u64, u64)> = Vec::new();
-        let mut samples: Vec<(u64, u64)> = Vec::new();
+    while let Ok(StagedItem { work, run, ops }) = rx.recv() {
+        // Every planned `Copy` gets exactly one Transfer event — a real
+        // span on success, a truncated (or empty) span when the copy
+        // faults or is abandoned — so traced bytes reconcile with
+        // plan-time TransferStats.
+        let record_copy = |t: &Transfer, start: Ts, end: Ts| {
+            run.record(Some(wid), || TraceEvent::Transfer {
+                start,
+                end,
+                data: t.data,
+                from: t.from,
+                to: t.to,
+                bytes: t.bytes,
+                by: Some(wid),
+            });
+        };
+        let mut staged = Staged::new();
         let mut failure: Option<(String, bool)> = None;
+        let mut ops = ops.into_iter();
         for op in ops.by_ref() {
-            match op {
+            match &op {
                 StageOp::WaitLocal(cell) => {
                     if let Err(msg) = cell.wait() {
                         failure = Some((format!("upstream staging failed: {msg}"), true));
                         break;
                     }
                 }
-                StageOp::Ensure { data, len } => arena.ensure(data, space, len),
+                StageOp::Ensure { data, len } => arena.ensure(*data, space, *len),
                 StageOp::Copy { t, wait_src, publish, inject_fault } => {
                     debug_assert_eq!(t.to, space, "copy planned onto the wrong lane");
                     if let Some(src) = wait_src {
                         if let Err(msg) = src.wait() {
                             let msg = format!("upstream staging failed: {msg}");
                             publish.publish_failed(msg.clone());
-                            let now = ts(wall0);
-                            record_copy(&t, now, now);
+                            let now = run.now();
+                            record_copy(t, now, now);
                             failure = Some((msg, true));
                             break;
                         }
                     }
-                    let start = wall0.elapsed();
+                    let start = run.wall0.elapsed();
                     let moved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if inject_fault {
+                        if *inject_fault {
                             panic!("injected staging fault for {:?}", t.data);
                         }
-                        arena.perform(&t);
+                        arena.perform(t);
                     }));
                     match moved {
                         Ok(()) => {
-                            throttle_link(link_bandwidth, t.bytes, wall0.elapsed() - start);
-                            let end = wall0.elapsed();
-                            let took = end - start;
-                            stage_ns += took.as_nanos() as u64;
-                            stage_spans.push((start.as_nanos() as u64, end.as_nanos() as u64));
-                            samples.push((t.bytes, took.as_nanos() as u64));
-                            record_copy(
-                                &t,
-                                Ts(start.as_nanos() as u64),
-                                Ts(end.as_nanos() as u64),
-                            );
+                            throttle_link(link_bandwidth, t.bytes, run.wall0.elapsed() - start);
+                            let end = run.wall0.elapsed();
+                            let span = (start.as_nanos() as u64, end.as_nanos() as u64);
+                            staged.push((t.bytes, span.0, span.1));
+                            record_copy(t, Ts(span.0), Ts(span.1));
                             publish.publish_ok();
                         }
                         Err(payload) => {
                             let msg = panic_message(payload);
                             publish.publish_failed(msg.clone());
-                            record_copy(&t, Ts(start.as_nanos() as u64), ts(wall0));
+                            record_copy(t, Ts(start.as_nanos() as u64), run.now());
                             failure = Some((msg, false));
                             break;
                         }
@@ -1128,7 +633,7 @@ fn stager_loop(
                 }
             }
         }
-        let sent = match failure {
+        let msg = match failure {
             Some((msg, upstream)) => {
                 // Poison the copies this item never attempted, so
                 // cross-worker waiters observe failure instead of
@@ -1136,93 +641,55 @@ fn stager_loop(
                 for op in ops {
                     if let StageOp::Copy { t, publish, .. } = &op {
                         publish.publish_failed("abandoned after earlier staging failure");
-                        let now = ts(wall0);
+                        let now = run.now();
                         record_copy(t, now, now);
                     }
                 }
-                tx.send(ExecMsg::Failed { task, msg, upstream })
+                ExecMsg::Failed { task: work.task, msg, upstream }
             }
-            None => tx.send(ExecMsg::Run {
-                task,
-                kernel,
-                accesses,
-                stage_ns,
-                stage_spans,
-                samples,
-                version,
-                template,
-                attempt,
-            }),
+            None => ExecMsg::Run { work, run, staged },
         };
-        if sent.is_err() {
-            return; // exec thread gone: coordinator is unwinding
+        if tx.send(msg).is_err() {
+            return; // exec thread gone
         }
     }
-    let _ = tx.send(ExecMsg::Stop);
 }
 
-/// The exec thread of one worker: runs kernels against fully staged
-/// data, forwards staging failures unchanged (keeping completion order
-/// FIFO), reports outcomes with wall-clock spans for overlap accounting.
-#[allow(clippy::too_many_arguments)]
+/// The exec thread of one worker: runs kernels through `execute` (a
+/// local kernel on this worker's lanes, or a remote node's `Exec`),
+/// forwards staging failures unchanged (keeping completion order FIFO),
+/// and reports outcomes with wall-clock spans for overlap accounting.
 fn exec_loop(
     rx: mpsc::Receiver<ExecMsg>,
-    done: mpsc::Sender<(WorkerId, TaskId, Outcome)>,
-    arena: Arc<Arena>,
-    space: MemSpace,
-    lanes: usize,
+    done: mpsc::Sender<Completion>,
     wid: WorkerId,
-    wall0: Instant,
-    sink: Option<Arc<TraceSink>>,
+    mut execute: impl FnMut(WorkItem, &RunCtx) -> Result<Duration, WorkFailure>,
 ) {
-    let pool = (lanes > 1).then(|| LanePool::new(lanes));
-    let exec: &dyn LaneExec = match &pool {
-        Some(pool) => pool,
-        None => &SerialExec,
-    };
     while let Ok(msg) = rx.recv() {
         let (task, outcome) = match msg {
-            ExecMsg::Stop => break,
             ExecMsg::Failed { task, msg, upstream } => {
                 (task, Outcome::StageFailed { msg, upstream })
             }
-            ExecMsg::Run {
-                task,
-                kernel,
-                accesses,
-                stage_ns,
-                stage_spans,
-                samples,
-                version,
-                template,
-                attempt,
-            } => {
-                let start = wall0.elapsed();
-                if let Some(sink) = &sink {
-                    sink.record(
-                        wid.index(),
-                        TraceEvent::TaskStart {
-                            time: Ts(start.as_nanos() as u64),
-                            task,
-                            worker: wid,
-                            version,
-                            template,
-                            attempt,
-                        },
-                    );
-                }
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute_item(
-                        WorkItem { task, kernel, accesses, version, template, attempt },
-                        &arena,
-                        space,
-                        exec,
-                    )
-                }));
-                let end = wall0.elapsed();
-                if let Some(sink) = &sink {
+            ExecMsg::Run { work, run, staged } => {
+                let (task, version, template, attempt) =
+                    (work.task, work.version, work.template, work.attempt);
+                // This thread records its own lifecycle events into its
+                // own lane, so per-worker spans are monotonic by
+                // construction.
+                let start = run.wall0.elapsed();
+                run.record(Some(wid), || TraceEvent::TaskStart {
+                    time: Ts(start.as_nanos() as u64),
+                    task,
+                    worker: wid,
+                    version,
+                    template,
+                    attempt,
+                });
+                let res = execute(work, &run);
+                let end = run.wall0.elapsed();
+                run.record(Some(wid), || {
                     let time = Ts(end.as_nanos() as u64);
-                    let ev = match &res {
+                    match &res {
                         Ok(kernel) => TraceEvent::TaskEnd {
                             time,
                             task,
@@ -1232,23 +699,142 @@ fn exec_loop(
                         Err(_) => {
                             TraceEvent::TaskFailed { time, task, worker: wid, version, attempt }
                         }
-                    };
-                    sink.record(wid.index(), ev);
-                }
+                    }
+                });
                 let outcome = match res {
                     Ok(kernel) => Outcome::Done {
                         kernel,
                         kernel_span: (start.as_nanos() as u64, end.as_nanos() as u64),
-                        stage_ns,
-                        stage_spans,
-                        samples,
+                        staged,
                     },
-                    Err(payload) => Outcome::Panicked(panic_message(payload)),
+                    Err(fail) => Outcome::Failed(fail),
                 };
                 (task, outcome)
             }
         };
-        done.send((wid, task, outcome)).expect("coordinator hung up");
+        if done.send((wid, task, outcome)).is_err() {
+            return;
+        }
+    }
+}
+
+/// The threads of one worker and the channels into them.
+struct WorkerThreads {
+    /// Into the stager (overlapped staging). `None` on a remote worker,
+    /// which always stages inline.
+    stage: Option<mpsc::Sender<StagedItem>>,
+    /// Straight into the exec thread (inline staging).
+    exec: mpsc::Sender<ExecMsg>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// The native engine's long-lived threads, owned by the runtime: per
+/// worker a stager and an exec thread (an emulated GPU's exec thread owns
+/// its [`LanePool`]), plus the channel every exec thread reports
+/// completions on.
+pub(crate) struct Pipeline {
+    workers: Vec<WorkerThreads>,
+    done_tx: mpsc::Sender<Completion>,
+    done_rx: mpsc::Receiver<Completion>,
+}
+
+fn spawn(name: String, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new().name(name).spawn(f).expect("spawn native engine thread")
+}
+
+impl Pipeline {
+    fn new() -> Pipeline {
+        let (done_tx, done_rx) = mpsc::channel();
+        Pipeline { workers: Vec::new(), done_tx, done_rx }
+    }
+
+    /// Start the threads of every worker that has none yet: all of them
+    /// at a runtime's first run, later only the workers
+    /// [`Runtime::attach_remote_node`] added.
+    pub(crate) fn grow(
+        &mut self,
+        workers: &[WorkerState],
+        remotes: &RemotePlan,
+        arena: &Arc<Arena>,
+        cfg: &NativeConfig,
+    ) {
+        for w in &workers[self.workers.len()..] {
+            let info = w.info;
+            let wi = info.id.index();
+            let (exec_tx, exec_rx) = mpsc::channel();
+            let done = self.done_tx.clone();
+            let arena = Arc::clone(arena);
+            let mut threads = Vec::with_capacity(2);
+            let stage = if let Some(node) = remotes.by_space.get(&info.space) {
+                let node = Arc::clone(node);
+                threads.push(spawn(format!("versa-exec-{wi}"), move || {
+                    exec_loop(exec_rx, done, info.id, |work, run| {
+                        execute_remote(node.as_ref(), &arena, info.space, work, run)
+                    })
+                }));
+                None
+            } else {
+                let (stage_tx, stage_rx) = mpsc::channel();
+                let (to_exec, stager_arena) = (exec_tx.clone(), Arc::clone(&arena));
+                let link = cfg.link_bandwidth;
+                threads.push(spawn(format!("versa-stage-{wi}"), move || {
+                    stager_loop(stage_rx, to_exec, stager_arena, info.space, link, info.id)
+                }));
+                let lanes = if info.device.shares_host_memory() { 1 } else { cfg.gpu_lanes };
+                threads.push(spawn(format!("versa-exec-{wi}"), move || {
+                    let pool = (lanes > 1).then(|| LanePool::new(lanes));
+                    let exec: &dyn LaneExec = match &pool {
+                        Some(pool) => pool,
+                        None => &SerialExec,
+                    };
+                    exec_loop(exec_rx, done, info.id, |work, _| {
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            execute_item(work, &arena, info.space, exec)
+                        }))
+                        .map_err(|p| WorkFailure {
+                            message: panic_message(p),
+                            kind: FailureKind::Panic,
+                        })
+                    })
+                }));
+                Some(stage_tx)
+            };
+            self.workers.push(WorkerThreads { stage, exec: exec_tx, threads });
+        }
+    }
+
+    /// The next completion. The pipeline's own `done_tx` keeps the
+    /// channel open, so long waits check that every thread is still
+    /// alive: a thread that died outside its panic guards becomes a
+    /// coordinator panic instead of a hang.
+    fn recv(&self) -> Completion {
+        loop {
+            match self.done_rx.recv_timeout(Duration::from_millis(100)) {
+                Ok(done) => return done,
+                Err(mpsc::RecvTimeoutError::Timeout) => assert!(
+                    !self.workers.iter().flat_map(|w| &w.threads).any(JoinHandle::is_finished),
+                    "a native engine thread died"
+                ),
+                Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!("pipeline holds done_tx"),
+            }
+        }
+    }
+}
+
+impl Drop for Pipeline {
+    fn drop(&mut self) {
+        // Hanging up every work channel stops the stagers, whose exit
+        // drops the last senders into the exec threads, which then stop
+        // (an exec thread drops its lane pool, joining the lanes).
+        let threads: Vec<JoinHandle<()>> =
+            self.workers.drain(..).flat_map(|w| w.threads).collect();
+        for t in threads {
+            // A kernel panic is caught on its thread, so a panicked engine
+            // thread is a bug; report it, but never panic inside drop.
+            if t.join().is_err() {
+                eprintln!("versa: a native engine thread panicked");
+            }
+        }
     }
 }
 
@@ -1277,170 +863,221 @@ fn overlap_ns(kernel: &mut [(u64, u64)], stage: &[(u64, u64)]) -> u64 {
     total
 }
 
-/// The overlapped engine: coordinator-planned, worker-staged transfers
-/// with bounded per-worker lookahead. See the module comment above and
-/// DESIGN.md §2.2 for the protocol and its invariants.
-fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
-    let EngineKind::Native { cfg, arena } = &rt.engine else {
+/// Run every submitted task to completion on the runtime's pipeline.
+///
+/// A kernel panic does not take the process down: the exec thread
+/// catches the unwind, the coordinator rolls the task back to the ready
+/// frontier (worker bookkeeping unwound, buffers restored by the arena's
+/// unwind guard), reports the failure to the scheduler (quarantine
+/// accounting), and retries elsewhere — until
+/// [`RuntimeConfig::max_task_retries`](crate::RuntimeConfig) is
+/// exhausted, which aborts with a [`RunError`] carrying the partial
+/// report. An abort stops dispatching and drains every task already
+/// dispatched before returning; the failing task goes back to the ready
+/// pool, so the runtime stays usable.
+///
+/// With `max_dispatch` set, at most that many tasks are dispatched this
+/// call (a *wave*); everything dispatched drains before returning, and
+/// ready tasks beyond the budget stay pooled in the runtime.
+///
+/// [`RuntimeConfig::async_transfers`](crate::RuntimeConfig) selects how
+/// copy-ins happen: overlapped on the workers' stagers with a bounded
+/// lookahead (default), or inline on the coordinator in plan order
+/// (DESIGN.md §2.2). Remote nodes always stage inline: shipping at
+/// transfer time needs coordinator-ordered copies.
+pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
+    let remotes = rt.remote_plan();
+    let EngineKind::Native { cfg, arena, pipeline } = &mut rt.engine else {
         unreachable!("run_native on a non-native runtime")
     };
-    let cfg = cfg.clone();
+    let link_bandwidth = cfg.link_bandwidth;
     let arena = Arc::clone(arena);
-    let wall0 = Instant::now();
+    // Taken out for the run so the coordinator can borrow the runtime
+    // freely; put back below. Should the coordinator unwind, dropping it
+    // joins the threads.
+    let mut pipe = pipeline.take().unwrap_or_else(Pipeline::new);
+    pipe.grow(&rt.workers, &remotes, &arena, cfg);
+
     let n_workers = rt.workers.len();
-    // The running task plus `lookahead_depth` staging successors.
-    let inflight_cap = rt.config.lookahead_depth + 1;
-
-    let mut stats = TransferStats::default();
-    let mut version_counts: HashMap<(TemplateId, VersionId), u64> = HashMap::new();
-    let mut worker_counts = vec![0u64; n_workers];
-    let mut worker_busy = vec![Duration::ZERO; n_workers];
-    let mut worker_transfers = vec![WorkerTransferStats::default(); n_workers];
-    let mut kernel_spans: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_workers];
-    let mut stage_spans: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_workers];
-    let mut tasks_executed = 0u64;
-    let budget = max_dispatch.unwrap_or(u64::MAX);
-    let mut dispatched = 0u64;
-    let mut failures = FailureReport::default();
-    let mut attempts: HashMap<TaskId, u32> = HashMap::new();
-    let mut abort: Option<(TaskId, String)> = None;
-    let mut ledger = StagingLedger::new();
-    let mut rollbacks: HashMap<TaskId, Vec<Rollback>> = HashMap::new();
-
+    let names = if rt.remotes.is_empty() {
+        HashMap::new()
+    } else {
+        rt.templates
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (TemplateId(i as u32), t.name.clone()))
+            .collect()
+    };
+    let wall0 = Instant::now();
     let sink = TraceSink::from_config(&rt.config.tracing, n_workers);
     let log_here = crate::tracing::begin_decision_log(rt, &sink);
     crate::tracing::record_live_created(rt, &sink, ts(wall0));
+    let node_count = remotes.node_of_worker.iter().copied().max().map_or(1, |m| m as usize + 1);
 
-    let (done_tx, done_rx) = mpsc::channel();
+    let mut run = Coordinator {
+        pipe: &pipe,
+        ctx: Arc::new(RunCtx { wall0, sink, names }),
+        arena,
+        link_bandwidth,
+        inline: !rt.config.async_transfers || !remotes.by_space.is_empty(),
+        remotes,
+        // The running task plus `lookahead_depth` staging successors.
+        inflight_cap: rt.config.lookahead_depth + 1,
+        budget: max_dispatch.unwrap_or(u64::MAX),
+        dispatched: 0,
+        in_flight: 0,
+        lane_busy: vec![0; n_workers],
+        node_inflight: vec![0; node_count],
+        outbox: (0..n_workers).map(|_| VecDeque::new()).collect(),
+        ledger: StagingLedger::new(),
+        rollbacks: HashMap::new(),
+        attempts: HashMap::new(),
+        lost_nodes: HashSet::new(),
+        deferred_loss: Vec::new(),
+        abort: None,
+        kernel_spans: vec![Vec::new(); n_workers],
+        stage_spans: vec![Vec::new(); n_workers],
+        // The remaining fields are filled in by `finish`.
+        report: RunReport {
+            scheduler: String::new(),
+            makespan: Duration::ZERO,
+            tasks_executed: 0,
+            transfers: TransferStats::default(),
+            version_counts: HashMap::new(),
+            worker_task_counts: vec![0; n_workers],
+            worker_busy: vec![Duration::ZERO; n_workers],
+            worker_transfers: vec![WorkerTransferStats::default(); n_workers],
+            completed: false,
+            profile_table: None,
+            trace: None,
+            failures: FailureReport::default(),
+        },
+    };
 
-    std::thread::scope(|scope| {
-        // As in the sync engine, every sender lives inside the scope so
-        // a coordinator panic unwinds cleanly: dropping the outboxes
-        // resolves their cells (StagedItem's drop guard), dropping
-        // `stage_txs` stops the stagers, which drop their exec senders,
-        // which stops the exec threads.
-        let mut stage_txs: Vec<mpsc::Sender<StageMsg>> = Vec::with_capacity(n_workers);
-        for w in rt.workers.iter() {
-            let (stage_tx, stage_rx) = mpsc::channel();
-            let (exec_tx, exec_rx) = mpsc::channel();
-            stage_txs.push(stage_tx);
-            let info = w.info;
-            let lanes = if info.device.shares_host_memory() { 1 } else { cfg.gpu_lanes };
-            let done = done_tx.clone();
-            let stager_arena = Arc::clone(&arena);
-            let exec_arena = Arc::clone(&arena);
-            let link = cfg.link_bandwidth;
-            let stager_sink = sink.clone();
-            let exec_sink = sink.clone();
-            scope.spawn(move || {
-                stager_loop(stage_rx, exec_tx, stager_arena, info.space, link, wall0, info.id, stager_sink)
-            });
-            scope.spawn(move || {
-                exec_loop(exec_rx, done, exec_arena, info.space, lanes, info.id, wall0, exec_sink)
-            });
+    loop {
+        if run.abort.is_none() {
+            run.dispatch(rt);
         }
-        drop(done_tx);
-
-        // Planned items not yet admitted to a lane, and the number
-        // admitted and not yet completed (bounded by `inflight_cap`).
-        let mut outbox: Vec<VecDeque<StagedItem>> =
-            (0..n_workers).map(|_| VecDeque::new()).collect();
-        let mut lane_busy = vec![0usize; n_workers];
-        let mut in_flight = 0usize;
-
-        // Plan everything currently assignable within the wave budget:
-        // run the scheduler, perform directory transitions, record the
-        // rollback ledger, and queue `StagedItem`s — no byte movement.
-        let plan = |rt: &mut Runtime,
-                    in_flight: &mut usize,
-                    dispatched: &mut u64,
-                    stats: &mut TransferStats,
-                    worker_transfers: &mut Vec<WorkerTransferStats>,
-                    ledger: &mut StagingLedger,
-                    rollbacks: &mut HashMap<TaskId, Vec<Rollback>>,
-                    outbox: &mut Vec<VecDeque<StagedItem>>,
-                    attempts: &HashMap<TaskId, u32>| {
-            let newly = rt.graph.take_newly_ready();
-            if let Some(sink) = &sink {
-                let lane = sink.coordinator();
-                for &tid in &newly {
-                    sink.record(lane, TraceEvent::TaskReady { time: ts(wall0), task: tid });
-                }
+        run.pump();
+        if run.in_flight == 0 {
+            if run.abort.is_some() || rt.graph.all_done() || run.dispatched >= run.budget {
+                break; // done, wave budget spent, or aborted — and drained
             }
-            rt.pending.extend(newly);
-            let remaining = budget - *dispatched;
-            if remaining == 0 {
-                return;
-            }
-            if rt.config.fair_scheduling {
-                rt.fair.order(&mut rt.pending, &rt.graph);
-            }
-            let assigned = drain_pool(
-                &mut rt.pending,
-                rt.scheduler.as_mut(),
-                &rt.templates,
-                &mut rt.workers,
-                &rt.directory,
-                &mut rt.graph,
-                (budget != u64::MAX).then_some(remaining as usize),
-                rt.config.batched_bids,
+            panic!(
+                "native engine stalled with {} live tasks and {} pooled tasks",
+                rt.graph.live_tasks(),
+                rt.pending.len()
             );
-            *dispatched += assigned.len() as u64;
-            if rt.config.fair_scheduling {
-                rt.fair.note_dispatched(&rt.graph, assigned.iter().map(|(t, _)| t));
+        }
+        let (wid, tid, outcome) = run.pipe.recv();
+        run.complete(rt, wid, tid, outcome);
+        run.ledger.prune();
+    }
+
+    // An aborted run skips the flush (the graph still has live tasks and
+    // the caller gets the partial report through the error); a partial
+    // wave skips it too, leaving data in place for the next wave.
+    if run.abort.is_none() && rt.config.flush_on_wait && rt.graph.all_done() {
+        for t in rt.directory.flush_all_to_host() {
+            run.report.transfers.record(t.kind(), t.bytes);
+            run.copy(rt, &t, None);
+        }
+    }
+    crate::tracing::end_decision_log(rt, log_here);
+    let result = run.finish(rt);
+    if let EngineKind::Native { pipeline, .. } = &mut rt.engine {
+        *pipeline = Some(pipe);
+    }
+    result
+}
+
+/// One run's coordinator state: what has been dispatched where, the
+/// staging ledger and rollback records, and the report being built.
+struct Coordinator<'p> {
+    pipe: &'p Pipeline,
+    ctx: Arc<RunCtx>,
+    arena: Arc<Arena>,
+    link_bandwidth: Option<u64>,
+    remotes: RemotePlan,
+    /// Copies happen on the coordinator (see the pipeline comment above).
+    inline: bool,
+    inflight_cap: usize,
+    budget: u64,
+    dispatched: u64,
+    /// Tasks dispatched and not yet completed, queued items included.
+    in_flight: usize,
+    /// Items inside each worker's threads (sent, not yet completed).
+    lane_busy: Vec<usize>,
+    node_inflight: Vec<usize>,
+    /// Planned items not yet admitted to a stager.
+    outbox: Vec<VecDeque<StagedItem>>,
+    ledger: StagingLedger,
+    rollbacks: HashMap<TaskId, Vec<Rollback>>,
+    attempts: HashMap<TaskId, u32>,
+    /// Nodes already declared lost — workers retired, loss recorded.
+    lost_nodes: HashSet<u16>,
+    /// Lost nodes whose `NodeLost` trace event waits until every task
+    /// still in flight on the node has reported back: exec threads stamp
+    /// `TaskStart` on their own clocks, so recording the loss at
+    /// detection time can predate a sibling worker's already-running
+    /// start. Draining first guarantees the loss stamp postdates every
+    /// start on the node.
+    deferred_loss: Vec<u16>,
+    abort: Option<(TaskId, String)>,
+    kernel_spans: Vec<Vec<(u64, u64)>>,
+    stage_spans: Vec<Vec<(u64, u64)>>,
+    report: RunReport,
+}
+
+impl Coordinator<'_> {
+    /// Assign everything currently assignable within the wave budget,
+    /// perform or plan each task's directory transitions, and hand the
+    /// task to its worker: straight to the exec thread under inline
+    /// staging, else into the outbox for the stager. The ready pool lives
+    /// in the runtime so over-budget tasks carry to the next wave.
+    fn dispatch(&mut self, rt: &mut Runtime) {
+        let newly = rt.graph.take_newly_ready();
+        if let Some(sink) = &self.ctx.sink {
+            let lane = sink.coordinator();
+            for &tid in &newly {
+                sink.record(lane, TraceEvent::TaskReady { time: self.ctx.now(), task: tid });
             }
-            crate::tracing::drain_decisions(rt, &sink, ts(wall0));
-            for (tid, a) in assigned {
-                let wi = a.worker.index();
-                let space = rt.workers[wi].info.space;
-                let accesses = rt.graph.node(tid).instance.accesses.clone();
-                let mut ops: Vec<StageOp> = Vec::new();
-                let mut rb: Vec<Rollback> = Vec::new();
-                for (region, mode) in &accesses {
-                    let data = region.data;
-                    if mode.writes() {
-                        if let Some(snap) = rt.directory.snapshot(data) {
-                            rb.push(Rollback::Restore(data, snap));
-                        }
-                    }
-                    if let Some(t) = rt.directory.acquire(data, space, *mode) {
-                        if !mode.writes() {
-                            // A pure read copy-in rolls back by
-                            // retraction; a write's snapshot (above)
-                            // already covers its transfer.
-                            rb.push(Rollback::Retract(data, space));
-                        }
-                        let (wait_src, publish) = ledger.plan_copy(&t);
-                        let inject_fault = rt.take_stage_fault(data);
-                        // Counted at plan time, in plan order — exactly
-                        // where the sync path records them, so fault-free
-                        // runs produce identical TransferStats.
-                        stats.record(t.kind(), t.bytes);
-                        let wt = &mut worker_transfers[wi];
-                        wt.staged_bytes += t.bytes;
-                        wt.staged_count += 1;
-                        ops.push(StageOp::Copy { t, wait_src, publish, inject_fault });
-                    } else if mode.reads() {
-                        if let Some(cell) = ledger.pending(data, space) {
-                            ops.push(StageOp::WaitLocal(cell));
-                        }
-                    }
-                    if mode.writes() {
-                        // Plan-order invariant: a writer's datum has no
-                        // pending cells (the graph serialized all prior
-                        // accessors); drop stale failed cells so they
-                        // stop gating future readers.
-                        ledger.note_write(data);
-                        ops.push(StageOp::Ensure {
-                            data,
-                            len: rt.directory.bytes(data) as usize,
-                        });
-                    }
-                }
-                rollbacks.insert(tid, rb);
-                let template = rt.graph.node(tid).instance.template;
-                let kernel = rt
-                    .kernels
+        }
+        rt.pending.extend(newly);
+        let remaining = self.budget - self.dispatched;
+        if remaining == 0 {
+            return;
+        }
+        if rt.config.fair_scheduling {
+            rt.fair.order(&mut rt.pending, &rt.graph);
+        }
+        let assigned = drain_pool(
+            &mut rt.pending,
+            rt.scheduler.as_mut(),
+            &rt.templates,
+            &mut rt.workers,
+            &rt.directory,
+            &mut rt.graph,
+            (self.budget != u64::MAX).then_some(remaining as usize),
+            rt.config.batched_bids,
+        );
+        self.dispatched += assigned.len() as u64;
+        if rt.config.fair_scheduling {
+            rt.fair.note_dispatched(&rt.graph, assigned.iter().map(|(t, _)| t));
+        }
+        crate::tracing::drain_decisions(rt, &self.ctx.sink, self.ctx.now());
+        for (tid, a) in assigned {
+            let wi = a.worker.index();
+            let space = rt.workers[wi].info.space;
+            let accesses = rt.graph.node(tid).instance.accesses.clone();
+            let ops = self.stage(rt, tid, a.worker, space, &accesses);
+            let template = rt.graph.node(tid).instance.template;
+            let kernel = if self.remotes.by_space.contains_key(&space) {
+                // Remote worker: the kernel runs on the node; the exec
+                // side ignores this placeholder.
+                Arc::new(|_: &mut KernelCtx<'_>| {}) as NativeFn
+            } else {
+                rt.kernels
                     .get(&(template, a.version))
                     .unwrap_or_else(|| {
                         panic!(
@@ -1449,274 +1086,301 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
                             a.version
                         )
                     })
-                    .clone();
-                rt.graph.mark_running(tid);
-                outbox[wi].push_back(StagedItem {
-                    task: tid,
-                    kernel,
-                    accesses,
-                    ops,
-                    version: a.version,
-                    template,
-                    attempt: attempts.get(&tid).copied().unwrap_or(0) + 1,
-                });
-                *in_flight += 1;
+                    .clone()
+            };
+            rt.graph.mark_running(tid);
+            let work = WorkItem {
+                task: tid,
+                kernel,
+                accesses,
+                version: a.version,
+                template,
+                attempt: self.attempts.get(&tid).copied().unwrap_or(0) + 1,
+            };
+            self.in_flight += 1;
+            self.node_inflight[self.remotes.node_of_worker[wi] as usize] += 1;
+            let run = Arc::clone(&self.ctx);
+            if self.inline {
+                self.lane_busy[wi] += 1;
+                self.pipe.workers[wi]
+                    .exec
+                    .send(ExecMsg::Run { work, run, staged: Staged::new() })
+                    .expect("exec thread died");
+            } else {
+                self.outbox[wi].push_back(StagedItem { work, run, ops });
             }
-        };
+        }
+    }
 
-        // Admit queued items to each lane up to the lookahead cap.
-        let pump = |outbox: &mut Vec<VecDeque<StagedItem>>, lane_busy: &mut Vec<usize>| {
-            for wi in 0..n_workers {
-                while lane_busy[wi] < inflight_cap {
-                    let Some(item) = outbox[wi].pop_front() else { break };
-                    stage_txs[wi].send(StageMsg::Work(item)).expect("staging lane died");
-                    lane_busy[wi] += 1;
+    /// Acquire every access of `tid` in `space`. Inline staging performs
+    /// each copy right here, in plan order (sources are always
+    /// materialized in time because coordinator order matches directory
+    /// order). Overlapped staging instead returns the `StageOp`s for the
+    /// worker's stager and records the task's rollback ledger — no byte
+    /// movement.
+    fn stage(
+        &mut self,
+        rt: &mut Runtime,
+        tid: TaskId,
+        worker: WorkerId,
+        space: MemSpace,
+        accesses: &[(Region, AccessMode)],
+    ) -> Vec<StageOp> {
+        let mut ops: Vec<StageOp> = Vec::new();
+        let mut rb: Vec<Rollback> = Vec::new();
+        for (region, mode) in accesses {
+            let data = region.data;
+            if !self.inline && mode.writes() {
+                if let Some(snap) = rt.directory.snapshot(data) {
+                    rb.push(Rollback::Restore(data, snap));
                 }
             }
-        };
-
-        plan(
-            rt,
-            &mut in_flight,
-            &mut dispatched,
-            &mut stats,
-            &mut worker_transfers,
-            &mut ledger,
-            &mut rollbacks,
-            &mut outbox,
-            &attempts,
-        );
-        pump(&mut outbox, &mut lane_busy);
-
-        while !rt.graph.all_done() {
-            if in_flight == 0 && dispatched >= budget {
-                break; // wave budget spent, everything dispatched drained
-            }
-            assert!(
-                in_flight > 0,
-                "native engine stalled with {} live tasks and {} pooled tasks",
-                rt.graph.live_tasks(),
-                rt.pending.len()
-            );
-            let (wid, tid, outcome) = done_rx.recv().expect("all workers died");
-            in_flight -= 1;
-            let wi = wid.index();
-            lane_busy[wi] -= 1;
-
-            let q = rt.workers[wi]
-                .start_next()
-                .expect("completion from a worker with an empty queue");
-            assert_eq!(q.task, tid, "worker completions must be FIFO");
-            rt.workers[wi].finish(tid);
-
-            match outcome {
-                Outcome::Done { kernel, kernel_span, stage_ns, stage_spans: spans, samples } => {
-                    rollbacks.remove(&tid);
-                    rt.graph.complete(tid, wid);
-                    let assignment =
-                        rt.graph.node(tid).assignment.expect("completed task was assigned");
-                    rt.scheduler.task_finished(&rt.graph.node(tid).instance, assignment, kernel);
-                    let space = rt.workers[wi].info.space;
-                    for (bytes, ns) in samples {
-                        rt.scheduler.transfer_done(space, bytes, Duration::from_nanos(ns));
+            if let Some(t) = rt.directory.acquire(data, space, *mode) {
+                // Counted at plan time, in plan order, in both modes —
+                // so fault-free runs produce identical TransferStats.
+                self.report.transfers.record(t.kind(), t.bytes);
+                let wt = &mut self.report.worker_transfers[worker.index()];
+                wt.staged_bytes += t.bytes;
+                wt.staged_count += 1;
+                if self.inline {
+                    let took = self.copy(rt, &t, Some(worker));
+                    self.report.worker_transfers[worker.index()].stage_time += took;
+                } else {
+                    if !mode.writes() {
+                        // A pure read copy-in rolls back by retraction;
+                        // a write's snapshot (above) already covers its
+                        // transfer.
+                        rb.push(Rollback::Retract(data, space));
                     }
-                    *version_counts
-                        .entry((rt.graph.node(tid).instance.template, assignment.version))
-                        .or_insert(0) += 1;
-                    worker_counts[wi] += 1;
-                    worker_busy[wi] += kernel;
-                    let wt = &mut worker_transfers[wi];
-                    wt.compute_time += kernel;
-                    wt.stage_time += Duration::from_nanos(stage_ns);
-                    kernel_spans[wi].push(kernel_span);
-                    stage_spans[wi].extend(spans);
-                    tasks_executed += 1;
+                    let (wait_src, publish) = self.ledger.plan_copy(&t);
+                    let inject_fault = rt.take_stage_fault(data);
+                    ops.push(StageOp::Copy { t, wait_src, publish, inject_fault });
                 }
-                Outcome::Panicked(msg) => {
-                    // Kernel panic: staging succeeded, so the directory's
-                    // optimistic state is real — no rollback, same
-                    // accounting as the sync engine.
-                    rollbacks.remove(&tid);
-                    let assignment =
-                        rt.graph.node(tid).assignment.expect("failed task was assigned");
-                    let attempt = {
-                        let n = attempts.entry(tid).or_insert(0);
-                        *n += 1;
-                        *n
-                    };
-                    failures.events.push(TaskFailure {
+            } else if !self.inline && mode.reads() {
+                if let Some(cell) = self.ledger.pending(data, space) {
+                    ops.push(StageOp::WaitLocal(cell));
+                }
+            }
+            if mode.writes() {
+                // Output-only accesses get no copy-in, but the kernel
+                // still needs backing memory in `space`.
+                let len = rt.directory.bytes(data) as usize;
+                if self.inline {
+                    self.arena.ensure(data, space, len);
+                } else {
+                    // Plan-order invariant: a writer's datum has no
+                    // pending cells (the graph serialized all prior
+                    // accessors); drop stale failed cells so they stop
+                    // gating future readers.
+                    self.ledger.note_write(data);
+                    ops.push(StageOp::Ensure { data, len });
+                }
+            }
+        }
+        if !self.inline {
+            self.rollbacks.insert(tid, rb);
+        }
+        ops
+    }
+
+    /// Move one transfer's bytes on the coordinator — an inline copy-in
+    /// (`by` its worker) or the final flush (`by` none) — and feed the
+    /// measured time to the scheduler's bandwidth EWMA.
+    fn copy(&mut self, rt: &mut Runtime, t: &Transfer, by: Option<WorkerId>) -> Duration {
+        let start = self.ctx.now();
+        let t0 = Instant::now();
+        self.arena.perform(t);
+        if let Some(node) = self.remotes.by_space.get(&t.to) {
+            // Mirror-space destination: push the bytes over the wire
+            // inside the timed window, so the elapsed time fed to
+            // `transfer_done` below is the real NIC cost and the
+            // scheduler's bandwidth EWMA learns the link. A transport
+            // error is deferred: the exec on the dead node fails with
+            // `NodeLost` and the retry machinery takes over.
+            let buf = self.arena.read_arc(t.data, t.to);
+            let _ = node.ship(t.data, buf.as_bytes());
+        }
+        throttle_link(self.link_bandwidth, t.bytes, t0.elapsed());
+        let took = t0.elapsed();
+        self.ctx.record(None, || TraceEvent::Transfer {
+            start,
+            end: self.ctx.now(),
+            data: t.data,
+            from: t.from,
+            to: t.to,
+            bytes: t.bytes,
+            by,
+        });
+        rt.scheduler.transfer_done(t.to, t.bytes, took);
+        took
+    }
+
+    /// Admit queued items to each worker's stager up to the lookahead cap.
+    fn pump(&mut self) {
+        for (wi, queue) in self.outbox.iter_mut().enumerate() {
+            while self.lane_busy[wi] < self.inflight_cap {
+                let Some(item) = queue.pop_front() else { break };
+                let stage = self.pipe.workers[wi].stage.as_ref();
+                stage.expect("remote workers stage inline").send(item).expect("staging lane died");
+                self.lane_busy[wi] += 1;
+            }
+        }
+    }
+
+    /// Fold one completion back into the graph, the scheduler and the
+    /// report.
+    fn complete(&mut self, rt: &mut Runtime, wid: WorkerId, tid: TaskId, outcome: Outcome) {
+        let wi = wid.index();
+        self.in_flight -= 1;
+        self.lane_busy[wi] -= 1;
+        self.node_inflight[self.remotes.node_of_worker[wi] as usize] -= 1;
+        let q = rt.workers[wi].start_next().expect("completion from a worker with an empty queue");
+        assert_eq!(q.task, tid, "worker completions must be FIFO");
+        rt.workers[wi].finish(tid);
+
+        match outcome {
+            Outcome::Done { kernel, kernel_span, staged } => {
+                self.rollbacks.remove(&tid);
+                rt.graph.complete(tid, wid);
+                let node = rt.graph.node(tid);
+                let assignment = node.assignment.expect("completed task was assigned");
+                rt.scheduler.task_finished(&node.instance, assignment, kernel);
+                let report = &mut self.report;
+                let key = (node.instance.template, assignment.version);
+                *report.version_counts.entry(key).or_insert(0) += 1;
+                let space = rt.workers[wi].info.space;
+                for (bytes, start, end) in staged {
+                    let took = Duration::from_nanos(end - start);
+                    rt.scheduler.transfer_done(space, bytes, took);
+                    report.worker_transfers[wi].stage_time += took;
+                    self.stage_spans[wi].push((start, end));
+                }
+                report.worker_task_counts[wi] += 1;
+                report.worker_busy[wi] += kernel;
+                report.worker_transfers[wi].compute_time += kernel;
+                report.tasks_executed += 1;
+                self.kernel_spans[wi].push(kernel_span);
+            }
+            Outcome::Failed(fail) => {
+                // Kernel (or remote) failure: staging succeeded, so the
+                // directory's optimistic state is real — no rollback.
+                self.rollbacks.remove(&tid);
+                self.charge(rt, wid, tid, fail);
+            }
+            Outcome::StageFailed { msg, upstream } => {
+                // The kernel never ran: undo this task's optimistic
+                // directory updates (LIFO, so a same-task read copy-in
+                // preceding a write acquire of the same datum unwinds
+                // correctly), then requeue.
+                for op in self.rollbacks.remove(&tid).unwrap_or_default().into_iter().rev() {
+                    match op {
+                        Rollback::Retract(d, s) => rt.directory.retract(d, s),
+                        Rollback::Restore(d, st) => rt.directory.restore(d, st),
+                    }
+                }
+                if upstream {
+                    // Collateral of another task's staging failure:
+                    // replan without charging this task an attempt — the
+                    // origin task's retry budget bounds the cascade.
+                    // Deliberately not traced.
+                    rt.graph.requeue(tid);
+                } else {
+                    // A staging failure never reached the exec thread, so
+                    // no TaskStart exists — record the terminal event
+                    // here (Failed-without-Start is legal).
+                    let assignment = rt.graph.node(tid).assignment;
+                    let version = assignment.expect("failed task was assigned").version;
+                    let attempt = self.attempts.get(&tid).copied().unwrap_or(0) + 1;
+                    let time = self.ctx.now();
+                    self.ctx.record(None, || TraceEvent::TaskFailed {
+                        time,
                         task: tid,
-                        template: rt.graph.node(tid).instance.template,
-                        version: assignment.version,
                         worker: wid,
-                        kind: FailureKind::Panic,
-                        message: msg.clone(),
+                        version,
                         attempt,
                     });
-                    rt.scheduler.task_failed(
-                        &rt.graph.node(tid).instance,
-                        assignment,
-                        FailureKind::Panic,
-                    );
-                    if attempt > rt.config.max_task_retries {
-                        abort = Some((tid, msg));
-                        break;
-                    }
-                    rt.graph.requeue(tid);
-                    failures.retries += 1;
-                }
-                Outcome::StageFailed { msg, upstream } => {
-                    // The kernel never ran: undo this task's optimistic
-                    // directory updates (LIFO, so a same-task read
-                    // copy-in preceding a write acquire of the same
-                    // datum unwinds correctly), then requeue.
-                    if let Some(rb) = rollbacks.remove(&tid) {
-                        for op in rb.into_iter().rev() {
-                            match op {
-                                Rollback::Retract(d, s) => rt.directory.retract(d, s),
-                                Rollback::Restore(d, st) => rt.directory.restore(d, st),
-                            }
-                        }
-                    }
-                    if upstream {
-                        // Collateral of another task's staging failure:
-                        // replan without charging this task an attempt —
-                        // the origin task's retry budget bounds the
-                        // cascade.
-                        rt.graph.requeue(tid);
-                    } else {
-                        let assignment =
-                            rt.graph.node(tid).assignment.expect("failed task was assigned");
-                        let attempt = {
-                            let n = attempts.entry(tid).or_insert(0);
-                            *n += 1;
-                            *n
-                        };
-                        // A staging failure never reached the exec thread,
-                        // so no TaskStart exists — record the terminal
-                        // event here (Failed-without-Start is legal).
-                        // Upstream requeues charge no attempt and are
-                        // deliberately not recorded.
-                        if let Some(sink) = &sink {
-                            sink.record(
-                                sink.coordinator(),
-                                TraceEvent::TaskFailed {
-                                    time: ts(wall0),
-                                    task: tid,
-                                    worker: wid,
-                                    version: assignment.version,
-                                    attempt,
-                                },
-                            );
-                        }
-                        failures.events.push(TaskFailure {
-                            task: tid,
-                            template: rt.graph.node(tid).instance.template,
-                            version: assignment.version,
-                            worker: wid,
-                            kind: FailureKind::Panic,
-                            message: msg.clone(),
-                            attempt,
-                        });
-                        rt.scheduler.task_failed(
-                            &rt.graph.node(tid).instance,
-                            assignment,
-                            FailureKind::Panic,
-                        );
-                        if attempt > rt.config.max_task_retries {
-                            abort = Some((tid, msg));
-                            break;
-                        }
-                        rt.graph.requeue(tid);
-                        failures.retries += 1;
-                    }
-                }
-            }
-
-            ledger.prune();
-            plan(
-                rt,
-                &mut in_flight,
-                &mut dispatched,
-                &mut stats,
-                &mut worker_transfers,
-                &mut ledger,
-                &mut rollbacks,
-                &mut outbox,
-                &attempts,
-            );
-            pump(&mut outbox, &mut lane_busy);
-        }
-
-        // Flush every outbox before stopping (reached on abort, or when
-        // a wave budget leaves planned items unadmitted): a queued item
-        // may hold the publish cell a blocked stager is waiting on.
-        for (wi, q) in outbox.iter_mut().enumerate() {
-            while let Some(item) = q.pop_front() {
-                if stage_txs[wi].send(StageMsg::Work(item)).is_err() {
-                    break;
+                    let fail = WorkFailure { message: msg, kind: FailureKind::Panic };
+                    self.charge(rt, wid, tid, fail);
                 }
             }
         }
-        for tx in &stage_txs {
-            let _ = tx.send(StageMsg::Stop);
-        }
-    });
 
-    if abort.is_none() && rt.config.flush_on_wait && rt.graph.all_done() {
-        for t in rt.directory.flush_all_to_host() {
-            let t_start = ts(wall0);
-            let t0 = Instant::now();
-            arena.perform(&t);
-            throttle_link(cfg.link_bandwidth, t.bytes, t0.elapsed());
-            stats.record(t.kind(), t.bytes);
-            if let Some(sink) = &sink {
-                sink.record(
-                    sink.coordinator(),
-                    TraceEvent::Transfer {
-                        start: t_start,
-                        end: ts(wall0),
-                        data: t.data,
-                        from: t.from,
-                        to: t.to,
-                        bytes: t.bytes,
-                        by: None,
-                    },
-                );
+        let (node_inflight, ctx) = (&self.node_inflight, &self.ctx);
+        self.deferred_loss.retain(|&node| {
+            if node_inflight[node as usize] > 0 {
+                return true;
             }
-            rt.scheduler.transfer_done(t.to, t.bytes, t0.elapsed());
-        }
+            ctx.record(None, || TraceEvent::NodeLost { time: ctx.now(), node });
+            false
+        });
     }
 
-    for wi in 0..n_workers {
-        worker_transfers[wi].overlap_time =
-            Duration::from_nanos(overlap_ns(&mut kernel_spans[wi], &stage_spans[wi]));
+    /// Charge one failed attempt: log it, report it to the scheduler, and
+    /// return the task to the ready pool. Node loss retires the node
+    /// instead of burning the task's retry budget; any other failure past
+    /// `max_task_retries` aborts the run (the first such task is the one
+    /// reported).
+    fn charge(&mut self, rt: &mut Runtime, wid: WorkerId, tid: TaskId, fail: WorkFailure) {
+        let node = rt.graph.node(tid);
+        let assignment = node.assignment.expect("failed task was assigned");
+        let attempt = {
+            let n = self.attempts.entry(tid).or_insert(0);
+            *n += 1;
+            *n
+        };
+        self.report.failures.events.push(TaskFailure {
+            task: tid,
+            template: node.instance.template,
+            version: assignment.version,
+            worker: wid,
+            kind: fail.kind,
+            message: fail.message.clone(),
+            attempt,
+        });
+        rt.scheduler.task_failed(&node.instance, assignment, fail.kind);
+        rt.graph.requeue(tid);
+        if fail.kind == FailureKind::NodeLost {
+            // Charge the node, not the version: retire every worker the
+            // lost node hosted so the scheduler stops placing work
+            // there, and record the loss once it drained.
+            let node = self.remotes.node_of_worker[wid.index()];
+            if self.lost_nodes.insert(node) {
+                for (i, w) in rt.workers.iter_mut().enumerate() {
+                    if self.remotes.node_of_worker[i] == node {
+                        w.retire();
+                    }
+                }
+                self.deferred_loss.push(node);
+            }
+        } else if attempt > rt.config.max_task_retries {
+            self.abort.get_or_insert((tid, fail.message));
+            return;
+        }
+        self.report.failures.retries += 1;
     }
 
-    crate::tracing::end_decision_log(rt, log_here);
-    failures.quarantined = rt.quarantined_versions();
-    let report = RunReport {
-        scheduler: rt.scheduler.name().to_string(),
-        makespan: wall0.elapsed(),
-        tasks_executed,
-        transfers: stats,
-        version_counts,
-        worker_task_counts: worker_counts,
-        worker_busy,
-        worker_transfers,
-        completed: rt.graph.all_done(),
-        profile_table: rt
-            .scheduler
-            .as_versioning()
-            .map(|v| v.profiles().render_table(&rt.templates)),
-        trace: sink.map(|s| s.drain(crate::tracing::trace_meta(rt, "native"))),
-        failures,
-    };
-    match abort {
-        Some((task, message)) => {
-            Err(RunError { task, kind: FailureKind::Panic, message, report: Box::new(report) })
+    /// Complete the run's report (or the abort error carrying it).
+    fn finish(mut self, rt: &Runtime) -> Result<RunReport, RunError> {
+        debug_assert!(self.deferred_loss.is_empty(), "a drained run leaves no loss deferred");
+        let mut report = self.report;
+        let spans = self.kernel_spans.iter_mut().zip(&self.stage_spans);
+        for (wt, (kernel, stage)) in report.worker_transfers.iter_mut().zip(spans) {
+            wt.overlap_time = Duration::from_nanos(overlap_ns(kernel, stage));
         }
-        None => Ok(report),
+        report.scheduler = rt.scheduler.name().to_string();
+        report.makespan = self.ctx.wall0.elapsed();
+        report.completed = rt.graph.all_done();
+        report.profile_table =
+            rt.scheduler.as_versioning().map(|v| v.profiles().render_table(&rt.templates));
+        report.trace =
+            self.ctx.sink.as_ref().map(|s| s.drain(crate::tracing::trace_meta(rt, "native")));
+        report.failures.quarantined = rt.quarantined_versions();
+        match self.abort {
+            Some((task, message)) => {
+                Err(RunError { task, kind: FailureKind::Panic, message, report: Box::new(report) })
+            }
+            None => Ok(report),
+        }
     }
 }
 

@@ -10,16 +10,16 @@
 //! [`MemSpace`] whose copy-in cost the per-destination bandwidth EWMA
 //! learns online, so NIC links are priced exactly like PCIe links.
 //!
-//! Data plane (sync engine only):
+//! Data plane (remote runtimes always stage inline):
 //!
 //! * **Copy-in**: when the directory plans a transfer into a mirror
 //!   space, the engine performs the local `memcpy` *and* ships the bytes
 //!   through [`RemoteNode::ship`] inside the same timed window — the
 //!   elapsed time fed to `transfer_done` includes the wire round-trip,
 //!   so the EWMA measures the real NIC.
-//! * **Execution**: the worker shim thread forwards the task through
-//!   [`RemoteNode::exec`] (template *name* + version — closures don't
-//!   cross the wire; the remote process binds its own kernels) and
+//! * **Execution**: the remote worker's exec thread forwards the task
+//!   through [`RemoteNode::exec`] (template *name* + version — closures
+//!   don't cross the wire; the remote process binds its own kernels) and
 //!   writes the returned output buffers back into the mirror space. All
 //!   later reads (flushes, dependent tasks) hit the mirror, never the
 //!   network.
@@ -140,7 +140,7 @@ pub(crate) struct RemoteAttachment {
     pub space: MemSpace,
 }
 
-/// Lookup tables the sync engine snapshots before a run: which spaces
+/// Lookup tables the native engine snapshots before a run: which spaces
 /// are remote mirrors, and which node each worker belongs to.
 #[derive(Clone, Default)]
 pub(crate) struct RemotePlan {

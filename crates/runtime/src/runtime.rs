@@ -12,7 +12,7 @@ use versa_core::{
     TemplateId, TemplateRegistry, VersionId, VersioningScheduler, WorkerId, WorkerInfo,
     WorkerState,
 };
-use versa_mem::{AccessMode, Arena, DataId, DeviceCache, Directory, MemSpace, Region};
+use versa_mem::{AccessMode, AlignedBuf, Arena, DataId, DeviceCache, Directory, MemSpace, Region};
 use versa_sim::{CostTable, PlatformConfig};
 
 /// A task implementation body for native execution.
@@ -24,7 +24,9 @@ pub(crate) enum EngineKind {
     /// made for one job carry over to the next.
     Sim { platform: PlatformConfig, caches: Option<Vec<DeviceCache>> },
     /// Real execution on OS threads with emulated accelerator devices.
-    Native { cfg: NativeConfig, arena: Arc<Arena> },
+    /// The pipeline threads start at the first run and live until the
+    /// runtime drops.
+    Native { cfg: NativeConfig, arena: Arc<Arena>, pipeline: Option<crate::native::Pipeline> },
 }
 
 /// The versa runtime: an OmpSs-like task runtime with multi-version task
@@ -161,7 +163,9 @@ impl Runtime {
     /// Runtime executing for real on OS threads. SMP workers run kernels
     /// on one core each; each emulated GPU runs kernels on an internal
     /// pool of [`NativeConfig::gpu_lanes`] cores, giving it a genuine
-    /// speed advantage for parallel kernels.
+    /// speed advantage for parallel kernels. Construction spawns no
+    /// thread: the workers start at the first run, park between runs and
+    /// are joined when the runtime drops.
     pub fn native(config: RuntimeConfig, native: NativeConfig) -> Runtime {
         native.validate().expect("invalid native config");
         let workers = Self::make_workers(native.smp_workers, native.gpus);
@@ -176,7 +180,7 @@ impl Runtime {
             scheduler,
             costs: CostTable::new(),
             kernels: HashMap::new(),
-            engine: EngineKind::Native { cfg: native, arena },
+            engine: EngineKind::Native { cfg: native, arena, pipeline: None },
             run_count: 0,
             pending: VecDeque::new(),
             fair: FairState::default(),
@@ -215,8 +219,10 @@ impl Runtime {
     /// arena (see [`crate::remote`] for the data plane). Returns the
     /// node's dense 1-based id (0 is the coordinator process itself).
     ///
-    /// Remote execution rides the synchronous engine, so attaching a
-    /// node turns `async_transfers` off for this runtime.
+    /// Remote workers stage inline (copies ship from the coordinator in
+    /// plan order), so attaching a node turns `async_transfers` off for
+    /// this runtime. Once the runtime has run, the new workers' threads
+    /// start here.
     ///
     /// # Panics
     /// Panics on a simulated runtime (use
@@ -240,6 +246,10 @@ impl Runtime {
         let node_id = (self.remotes.len() + 1) as u16;
         self.config.async_transfers = false;
         self.remotes.push(crate::remote::RemoteAttachment { node, node_id, space });
+        let plan = self.remote_plan();
+        if let EngineKind::Native { cfg, arena, pipeline: Some(pipeline) } = &mut self.engine {
+            pipeline.grow(&self.workers, &plan, arena, cfg);
+        }
         node_id
     }
 
@@ -259,7 +269,7 @@ impl Runtime {
         self.remotes.iter().find(|r| r.space == space).map_or(0, |r| r.node_id)
     }
 
-    /// Snapshot the remote lookup tables the sync engine needs.
+    /// Snapshot the remote lookup tables the native engine needs.
     pub(crate) fn remote_plan(&self) -> crate::remote::RemotePlan {
         crate::remote::RemotePlan {
             by_space: self
@@ -392,20 +402,18 @@ impl Runtime {
 
     /// Allocate runtime-managed data initialized from an `f64` slice.
     pub fn alloc_from_f64(&mut self, init: &[f64]) -> DataId {
-        let bytes: Vec<u8> = init.iter().flat_map(|v| v.to_ne_bytes()).collect();
-        let id = self.register_data(bytes.len() as u64);
+        let id = self.register_data(std::mem::size_of_val(init) as u64);
         if let EngineKind::Native { arena, .. } = &self.engine {
-            arena.alloc_host(id, &bytes);
+            arena.alloc_host_buf(id, AlignedBuf::from_f64(init));
         }
         id
     }
 
     /// Allocate runtime-managed data initialized from an `f32` slice.
     pub fn alloc_from_f32(&mut self, init: &[f32]) -> DataId {
-        let bytes: Vec<u8> = init.iter().flat_map(|v| v.to_ne_bytes()).collect();
-        let id = self.register_data(bytes.len() as u64);
+        let id = self.register_data(std::mem::size_of_val(init) as u64);
         if let EngineKind::Native { arena, .. } = &self.engine {
-            arena.alloc_host(id, &bytes);
+            arena.alloc_host_buf(id, AlignedBuf::from_f32(init));
         }
         id
     }
@@ -580,8 +588,11 @@ impl Runtime {
     /// quarantined, and the run keeps going. Only when a single task
     /// fails more than [`RuntimeConfig::max_task_retries`] times does
     /// the run abort with a [`RunError`] carrying the partial
-    /// [`RunReport`]. An aborted runtime still has tasks in flight and
-    /// must not be reused.
+    /// [`RunReport`]. A native run drains every task it already
+    /// dispatched before returning the error and puts the failing task
+    /// back in the ready pool, so the runtime stays usable: a later run
+    /// retries that task with a fresh budget. An aborted simulated
+    /// runtime still has tasks in flight and must not be reused.
     pub fn run(&mut self) -> Result<RunReport, RunError> {
         self.run_bounded(None)
     }
@@ -643,9 +654,9 @@ impl Runtime {
     /// mid-transfer (native engine, `async_transfers` mode). This is the
     /// staging analogue of the simulated engine's fault plans: it proves
     /// a transfer-lane failure routes through the same
-    /// `task_failed`/retry/quarantine machinery as a kernel panic. The
-    /// sync path never consults it (its copies run on the coordinator),
-    /// and an empty plan leaves execution byte-identical.
+    /// `task_failed`/retry/quarantine machinery as a kernel panic.
+    /// Inline staging never consults it (its copies run on the
+    /// coordinator), and an empty plan leaves execution byte-identical.
     pub fn inject_stage_fault(&mut self, data: DataId, times: u32) {
         if times > 0 {
             *self.stage_faults.entry(data).or_insert(0) += times;
@@ -804,6 +815,25 @@ mod tests {
         let b = rt.alloc_from_f64(&[1.0, 2.0, 3.0]);
         assert_eq!(rt.data_bytes(b), 24);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn native_typed_alloc_round_trips_bit_patterns() {
+        let mut rt = Runtime::native(
+            RuntimeConfig::with_scheduler(SchedulerKind::DepAware),
+            NativeConfig::new(1, 0),
+        );
+        let f64s = [-0.0f64, f64::from_bits(0x7ff8_0000_dead_beef), 1.5];
+        let d = rt.alloc_from_f64(&f64s);
+        assert_eq!(rt.data_bytes(d), 24);
+        let back: Vec<u64> = rt.read_f64(d).iter().map(|v| v.to_bits()).collect();
+        assert_eq!(back, f64s.map(f64::to_bits));
+
+        let f32s = [-0.0f32, f32::from_bits(0x7fc0_1234), 2.5];
+        let d = rt.alloc_from_f32(&f32s);
+        assert_eq!(rt.data_bytes(d), 12);
+        let back: Vec<u32> = rt.read_f32(d).iter().map(|v| v.to_bits()).collect();
+        assert_eq!(back, f32s.map(f32::to_bits));
     }
 
     #[test]
