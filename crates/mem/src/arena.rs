@@ -176,19 +176,36 @@ impl Arena {
         })
     }
 
-    /// Overwrite the bytes of `data` in `space`.
+    /// Install `buf` as the copy of `data` in `space`, replacing any
+    /// existing copy without a byte copy: the landing path for bytes a
+    /// peer sent over the wire, read straight into `buf`. A reader
+    /// still holding the old buffer keeps it.
     ///
-    /// # Panics
-    /// Panics if no buffer exists there or the length differs.
-    pub fn write(&self, data: DataId, space: MemSpace, bytes: &[u8]) {
-        self.with_shard(space, data, |sp| {
-            let arc = sp
-                .get_mut(&data)
-                .unwrap_or_else(|| panic!("{data:?} has no buffer in {space}"));
-            assert_eq!(arc.len(), bytes.len(), "write size mismatch for {data:?}");
-            // Clones only if a reader still holds the old version.
-            Arc::make_mut(arc).as_bytes_mut().copy_from_slice(bytes);
+    /// # Errors
+    /// When `space` already holds a buffer of a different length,
+    /// returns that length and leaves the arena unchanged.
+    pub fn install(&self, data: DataId, space: MemSpace, buf: Arc<AlignedBuf>) -> Result<(), usize> {
+        self.with_shard(space, data, |sp| match sp.get(&data) {
+            Some(old) if old.len() != buf.len() => Err(old.len()),
+            _ => {
+                sp.insert(data, buf);
+                Ok(())
+            }
         })
+    }
+
+    /// Total bytes of every buffer in every space.
+    pub fn resident_bytes(&self) -> u64 {
+        let spaces: Vec<Arc<SpaceShards>> =
+            self.spaces.read().expect("arena lock poisoned").clone();
+        spaces
+            .iter()
+            .flat_map(|s| &s.shards)
+            .map(|shard| {
+                let map = shard.lock().expect("arena lock poisoned");
+                map.values().map(|b| b.len() as u64).sum::<u64>()
+            })
+            .sum()
     }
 
     /// Whether `data` has a buffer in `space`.
@@ -336,9 +353,39 @@ mod tests {
         let shared = a.read_arc(DataId(0), MemSpace::HOST);
         // A write while a reader holds the Arc must not mutate the
         // reader's view (copy-on-write via make_mut).
-        a.write(DataId(0), MemSpace::HOST, &[7, 8]);
+        a.with_mut(DataId(0), MemSpace::HOST, |b| b.copy_from_slice(&[7, 8]));
         assert_eq!(shared.as_bytes(), &[5, 6]);
         assert_eq!(a.read(DataId(0), MemSpace::HOST), vec![7, 8]);
+    }
+
+    #[test]
+    fn install_swaps_in_the_buffer_without_copying() {
+        let a = Arena::new(1);
+        let dev = MemSpace::device(0);
+        let first = Arc::new(AlignedBuf::from_bytes(&[1, 2, 3]));
+        a.install(DataId(0), dev, Arc::clone(&first)).unwrap();
+        assert!(Arc::ptr_eq(&a.read_arc(DataId(0), dev), &first), "installed, not copied");
+        let reader = a.read_arc(DataId(0), dev);
+        let second = Arc::new(AlignedBuf::from_bytes(&[4, 5, 6]));
+        a.install(DataId(0), dev, Arc::clone(&second)).unwrap();
+        assert!(Arc::ptr_eq(&a.read_arc(DataId(0), dev), &second));
+        assert_eq!(reader.as_bytes(), &[1, 2, 3], "a live reader keeps the old bytes");
+        let wrong = Arc::new(AlignedBuf::from_bytes(&[7]));
+        assert_eq!(a.install(DataId(0), dev, wrong), Err(3), "length is checked");
+        assert_eq!(a.read(DataId(0), dev), vec![4, 5, 6], "a rejected install changes nothing");
+    }
+
+    #[test]
+    fn resident_bytes_counts_every_space_until_free() {
+        let a = Arena::new(1);
+        assert_eq!(a.resident_bytes(), 0);
+        a.alloc_host(DataId(0), &[0; 24]);
+        a.alloc_host(DataId(1), &[0; 8]);
+        a.perform(&transfer(DataId(0), MemSpace::HOST, MemSpace::device(0), 24));
+        assert_eq!(a.resident_bytes(), 24 + 8 + 24);
+        a.free(DataId(0));
+        a.free(DataId(1));
+        assert_eq!(a.resident_bytes(), 0);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::protocol::{read_frame, write_frame, Frame, ProtoError};
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -36,6 +37,10 @@ impl Default for HeartbeatConfig {
     }
 }
 
+/// Read-side buffer of a link: absorbs the small fields of a frame;
+/// bulk reads larger than this bypass it.
+pub(crate) const READ_BUFFER: usize = 64 << 10;
+
 /// A tag-multiplexed request/response link over one TCP stream.
 pub struct Mux {
     writer: Mutex<TcpStream>,
@@ -52,7 +57,7 @@ impl Mux {
     pub fn spawn(stream: TcpStream, heartbeat: Option<HeartbeatConfig>) -> Result<Arc<Mux>, ProtoError> {
         stream.set_nodelay(true).ok();
         let writer = stream.try_clone()?;
-        let mut reader = stream.try_clone()?;
+        let mut reader = BufReader::with_capacity(READ_BUFFER, stream.try_clone()?);
         let mux = Arc::new(Mux {
             writer: Mutex::new(writer),
             stream,
@@ -145,8 +150,8 @@ impl Mux {
         res
     }
 
-    /// Fire-and-forget send (best-effort; used for `Shutdown` when the
-    /// caller won't wait).
+    /// Fire-and-forget send of a one-way frame (`Free`); no response is
+    /// awaited.
     pub fn send(&self, frame: &Frame) -> Result<(), ProtoError> {
         if !self.is_alive() {
             return Err(ProtoError::Io("link is down".into()));

@@ -3,7 +3,11 @@
 //!
 //! The engine's worker-shim threads call [`RemoteNode::ship`] and
 //! [`RemoteNode::exec`] concurrently; the mux interleaves them on one
-//! socket. Transport failures (dead link, timeout, protocol violation)
+//! socket. Tile buffers cross as `Arc<AlignedBuf>`s shared with the
+//! arena: the frame writer streams a shipment from the mirror buffer,
+//! and written outputs come back in the buffers the frame reader filled.
+//!
+//! Transport failures (dead link, timeout, protocol violation)
 //! map to [`RemoteError::Lost`] — the engine retires the node and
 //! requeues its tasks — while a kernel failure reported by the worker
 //! maps to [`RemoteError::Task`], charged to the version like a local
@@ -13,7 +17,7 @@ use crate::link::Mux;
 use crate::protocol::{Frame, WireAccess};
 use std::sync::Arc;
 use std::time::Duration;
-use versa_mem::{AccessMode, DataId};
+use versa_mem::{AccessMode, AlignedBuf, DataId};
 use versa_runtime::{RemoteCaps, RemoteDone, RemoteError, RemoteExec, RemoteNode};
 
 /// A remote worker process reached over TCP.
@@ -58,8 +62,8 @@ impl RemoteNode for TcpRemoteNode {
         self.caps.clone()
     }
 
-    fn ship(&self, data: DataId, bytes: &[u8]) -> Result<(), RemoteError> {
-        match self.mux.request(&Frame::Ship { data: data.0, bytes: bytes.to_vec() }) {
+    fn ship(&self, data: DataId, bytes: Arc<AlignedBuf>) -> Result<(), RemoteError> {
+        match self.mux.request(&Frame::Ship { data: data.0, bytes }) {
             Ok(Frame::ShipAck) => Ok(()),
             Ok(other) => Err(RemoteError::Lost(format!(
                 "protocol violation: expected ShipAck, got frame type {}",
@@ -99,6 +103,11 @@ impl RemoteNode for TcpRemoteNode {
             ))),
             Err(e) => Err(RemoteError::Lost(e.to_string())),
         }
+    }
+
+    fn free(&self, data: DataId) {
+        // One-way: a dead link has nothing left to free.
+        let _ = self.mux.send(&Frame::Free { data: data.0 });
     }
 
     fn shutdown(&self) {

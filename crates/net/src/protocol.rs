@@ -13,18 +13,28 @@
 //! The CRC covers the payload only (the header is validated field by
 //! field), using the IEEE polynomial.
 //!
-//! Encoding and decoding are pure functions over byte slices —
-//! [`encode_frame`] / [`decode_frame`] — so the property tests can
-//! round-trip and mutate frames without sockets. Decoding NEVER panics:
+//! [`write_frame`] is the one encoder and [`read_frame`] the one
+//! decoder. Both stream: bulk bytes (`Ship` and `ExecOk` buffers) go to
+//! the wire straight from the sender's arena buffer and come off it
+//! straight into the [`AlignedBuf`] the receiver installs in its own
+//! arena, with the checksum accumulated on the way — one pass and one
+//! buffer per tile crossing. [`encode_frame`] / [`decode_frame`] run the
+//! same two functions over an in-memory buffer, so the property tests
+//! exercise the streaming path without sockets. Decoding NEVER panics:
 //! every malformed input maps to a typed [`ProtoError`].
 
 use std::fmt;
+use std::io::{self, Read, Write};
+use std::sync::Arc;
+use versa_mem::AlignedBuf;
 
 /// Protocol magic: the first two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"VN";
 
-/// Protocol version spoken by this build.
-pub const VERSION: u16 = 1;
+/// Protocol version spoken by this build. Version 2 added
+/// [`Frame::Free`]; peers of different versions fail at the first frame
+/// with [`ProtoError::BadVersion`].
+pub const VERSION: u16 = 2;
 
 /// Frame header length (everything before the payload).
 pub const HEADER_LEN: usize = 2 + 2 + 1 + 8 + 4;
@@ -62,7 +72,9 @@ impl fmt::Display for ProtoError {
         match self {
             ProtoError::Truncated => write!(f, "truncated frame"),
             ProtoError::BadMagic => write!(f, "bad magic (not a versa-net frame)"),
-            ProtoError::BadVersion(v) => write!(f, "protocol version mismatch (got {v}, want {VERSION})"),
+            ProtoError::BadVersion(v) => {
+                write!(f, "protocol version mismatch (got {v}, want {VERSION})")
+            }
             ProtoError::BadChecksum => write!(f, "payload checksum mismatch"),
             ProtoError::BadLength(n) => write!(f, "payload length {n} exceeds cap {MAX_PAYLOAD}"),
             ProtoError::BadFrameType(t) => write!(f, "unknown frame type {t}"),
@@ -75,8 +87,8 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-impl From<std::io::Error> for ProtoError {
-    fn from(e: std::io::Error) -> ProtoError {
+impl From<io::Error> for ProtoError {
+    fn from(e: io::Error) -> ProtoError {
         ProtoError::Io(e.to_string())
     }
 }
@@ -121,12 +133,13 @@ pub enum Frame {
         /// Coordinator profile-hints text (empty = cold).
         hints: String,
     },
-    /// Coordinator → worker: the full bytes of one allocation.
+    /// Coordinator → worker: the full bytes of one allocation, shared
+    /// with the sender's arena (no copy on either side of the wire).
     Ship {
         /// Allocation id.
         data: u32,
         /// The bytes.
-        bytes: Vec<u8>,
+        bytes: Arc<AlignedBuf>,
     },
     /// Worker → coordinator: shipment received and stored.
     ShipAck,
@@ -148,7 +161,7 @@ pub enum Frame {
         /// Measured kernel time on the worker, nanoseconds.
         kernel_ns: u64,
         /// `(allocation, full bytes)` for every written allocation.
-        writes: Vec<(u32, Vec<u8>)>,
+        writes: Vec<(u32, Arc<AlignedBuf>)>,
     },
     /// Worker → coordinator: the task's kernel failed (panic or typed
     /// error). The *connection* is still healthy.
@@ -168,6 +181,12 @@ pub enum Frame {
     },
     /// Worker → coordinator: shutting down.
     ShutdownAck,
+    /// Coordinator → worker, one-way (no reply): the allocation was
+    /// freed; drop every copy of it.
+    Free {
+        /// Allocation id.
+        data: u32,
+    },
 }
 
 impl Frame {
@@ -185,15 +204,18 @@ impl Frame {
             Frame::HeartbeatAck => 9,
             Frame::Shutdown { .. } => 10,
             Frame::ShutdownAck => 11,
+            Frame::Free { .. } => 12,
         }
     }
 }
 
 // ---------------------------------------------------------------- crc32
 
-/// IEEE CRC-32 table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE CRC-32 slicing tables, built at compile time. Table 0 is the
+/// classic bytewise table; table `k` advances a byte through `k` further
+/// zero bytes, so 16 lookups fold 16 input bytes at once.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -202,170 +224,367 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut s = 1;
+    while s < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[s - 1][i];
+            t[s][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        s += 1;
+    }
+    t
 };
+
+/// A running IEEE CRC-32 (slicing-by-16).
+#[derive(Clone, Copy)]
+struct Crc(u32);
+
+impl Crc {
+    fn new() -> Crc {
+        Crc(!0)
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut c = self.0;
+        let mut chunks = bytes.chunks_exact(16);
+        for b in &mut chunks {
+            let w = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            c = t[15][(w & 0xFF) as usize]
+                ^ t[14][((w >> 8) & 0xFF) as usize]
+                ^ t[13][((w >> 16) & 0xFF) as usize]
+                ^ t[12][(w >> 24) as usize]
+                ^ t[11][b[4] as usize]
+                ^ t[10][b[5] as usize]
+                ^ t[9][b[6] as usize]
+                ^ t[8][b[7] as usize]
+                ^ t[7][b[8] as usize]
+                ^ t[6][b[9] as usize]
+                ^ t[5][b[10] as usize]
+                ^ t[4][b[11] as usize]
+                ^ t[3][b[12] as usize]
+                ^ t[2][b[13] as usize]
+                ^ t[1][b[14] as usize]
+                ^ t[0][b[15] as usize];
+        }
+        for &b in chunks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
+    }
+
+    fn finish(self) -> u32 {
+        !self.0
+    }
+}
 
 /// IEEE CRC-32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    let mut crc = Crc::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 // ------------------------------------------------------------- encoding
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-/// A bounds-checked little-endian reader over a payload slice.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self.pos.checked_add(n).ok_or(ProtoError::BadPayload)?;
-        if end > self.buf.len() {
-            return Err(ProtoError::BadPayload);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn bytes(&mut self) -> Result<Vec<u8>, ProtoError> {
-        let n = self.u32()?;
-        Ok(self.take(n as usize)?.to_vec())
-    }
-    fn string(&mut self) -> Result<String, ProtoError> {
-        let n = self.u32()?;
-        let raw = self.take(n as usize)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| ProtoError::BadUtf8)
-    }
-
-    /// The whole payload must be consumed: trailing garbage is malformed.
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtoError::BadPayload)
-        }
+/// Where an encoded payload goes. Small fields are copied; bulk bytes
+/// are passed by reference so a stream writer can hand them to the
+/// socket without staging them.
+trait Sink {
+    fn small(&mut self, bytes: &[u8]) -> io::Result<()>;
+    fn bulk(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.small(bytes)
     }
 }
 
-fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut p = Vec::new();
+/// Measures a payload without touching its bytes.
+struct Count(usize);
+
+impl Sink for Count {
+    fn small(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.0 += bytes.len();
+        Ok(())
+    }
+}
+
+/// Streams one frame: the header and small fields gather in `pending`,
+/// bulk bytes go straight to `out`, and the payload checksum runs over
+/// everything as it is written.
+struct StreamSink<'a, W: Write> {
+    out: &'a mut W,
+    pending: Vec<u8>,
+    /// Where the checksummed bytes start in `pending` (the header is
+    /// not covered).
+    covered: usize,
+    crc: Crc,
+}
+
+impl<W: Write> StreamSink<'_, W> {
+    fn flush_pending(&mut self) -> io::Result<()> {
+        self.crc.update(&self.pending[self.covered..]);
+        self.covered = 0;
+        let res = self.out.write_all(&self.pending);
+        self.pending.clear();
+        res
+    }
+
+    /// Append the checksum and push everything out.
+    fn finish(mut self) -> io::Result<()> {
+        self.crc.update(&self.pending[self.covered..]);
+        let crc = self.crc.finish();
+        self.pending.extend_from_slice(&crc.to_le_bytes());
+        self.out.write_all(&self.pending)?;
+        self.out.flush()
+    }
+}
+
+impl<W: Write> Sink for StreamSink<'_, W> {
+    fn small(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.pending.extend_from_slice(bytes);
+        Ok(())
+    }
+    fn bulk(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.flush_pending()?;
+        self.crc.update(bytes);
+        self.out.write_all(bytes)
+    }
+}
+
+// Length prefixes are `u32`. The casts cannot truncate on the wire:
+// `write_frame` measures the payload first and rejects one over
+// `MAX_PAYLOAD` (< 4 GiB) before writing anything.
+
+fn put_str(s: &mut impl Sink, v: &str) -> io::Result<()> {
+    s.small(&(v.len() as u32).to_le_bytes())?;
+    s.small(v.as_bytes())
+}
+
+fn put_bulk(s: &mut impl Sink, v: &[u8]) -> io::Result<()> {
+    s.small(&(v.len() as u32).to_le_bytes())?;
+    s.bulk(v)
+}
+
+/// The payload layout of every frame type — the single source of truth
+/// both for measuring a payload and for writing it.
+fn emit_payload(frame: &Frame, s: &mut impl Sink) -> io::Result<()> {
     match frame {
         Frame::Hello { name, smp_workers, simd_tier, hints } => {
-            put_str(&mut p, name);
-            put_u32(&mut p, *smp_workers);
-            put_str(&mut p, simd_tier);
-            put_str(&mut p, hints);
+            put_str(s, name)?;
+            s.small(&smp_workers.to_le_bytes())?;
+            put_str(s, simd_tier)?;
+            put_str(s, hints)
         }
         Frame::Welcome { node_id, hints } => {
-            put_u16(&mut p, *node_id);
-            put_str(&mut p, hints);
+            s.small(&node_id.to_le_bytes())?;
+            put_str(s, hints)
         }
         Frame::Ship { data, bytes } => {
-            put_u32(&mut p, *data);
-            put_bytes(&mut p, bytes);
+            s.small(&data.to_le_bytes())?;
+            put_bulk(s, bytes.as_bytes())
         }
-        Frame::ShipAck | Frame::Heartbeat | Frame::HeartbeatAck | Frame::ShutdownAck => {}
+        Frame::ShipAck | Frame::Heartbeat | Frame::HeartbeatAck | Frame::ShutdownAck => Ok(()),
         Frame::Exec { task, template, version, attempt, accesses } => {
-            put_u64(&mut p, *task);
-            put_str(&mut p, template);
-            put_u16(&mut p, *version);
-            put_u32(&mut p, *attempt);
-            put_u32(&mut p, accesses.len() as u32);
+            s.small(&task.to_le_bytes())?;
+            put_str(s, template)?;
+            s.small(&version.to_le_bytes())?;
+            s.small(&attempt.to_le_bytes())?;
+            s.small(&(accesses.len() as u32).to_le_bytes())?;
             for a in accesses {
-                put_u32(&mut p, a.data);
-                put_u64(&mut p, a.offset);
-                put_u64(&mut p, a.len);
-                put_u64(&mut p, a.alloc_len);
-                p.push(a.mode);
+                s.small(&a.data.to_le_bytes())?;
+                s.small(&a.offset.to_le_bytes())?;
+                s.small(&a.len.to_le_bytes())?;
+                s.small(&a.alloc_len.to_le_bytes())?;
+                s.small(&[a.mode])?;
             }
+            Ok(())
         }
         Frame::ExecOk { kernel_ns, writes } => {
-            put_u64(&mut p, *kernel_ns);
-            put_u32(&mut p, writes.len() as u32);
+            s.small(&kernel_ns.to_le_bytes())?;
+            s.small(&(writes.len() as u32).to_le_bytes())?;
             for (data, bytes) in writes {
-                put_u32(&mut p, *data);
-                put_bytes(&mut p, bytes);
+                s.small(&data.to_le_bytes())?;
+                put_bulk(s, bytes.as_bytes())?;
             }
+            Ok(())
         }
-        Frame::ExecErr { message } => put_str(&mut p, message),
-        Frame::Shutdown { hints } => put_str(&mut p, hints),
+        Frame::ExecErr { message } => put_str(s, message),
+        Frame::Shutdown { hints } => put_str(s, hints),
+        Frame::Free { data } => s.small(&data.to_le_bytes()),
     }
-    p
 }
 
-fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
-    let mut r = Reader::new(payload);
-    let frame = match ty {
+/// Write one frame to a stream: header, small fields, bulk bytes
+/// straight from the frame's buffers, then the checksum.
+///
+/// # Errors
+/// [`ProtoError::BadLength`] when the payload would exceed
+/// [`MAX_PAYLOAD`] (nothing is written), or the stream's I/O error.
+pub fn write_frame(stream: &mut impl Write, frame: &Frame, tag: u64) -> Result<(), ProtoError> {
+    let mut count = Count(0);
+    emit_payload(frame, &mut count)?;
+    let len = u32::try_from(count.0).unwrap_or(u32::MAX);
+    if len > MAX_PAYLOAD {
+        return Err(ProtoError::BadLength(len));
+    }
+    let mut sink = StreamSink {
+        out: stream,
+        pending: Vec::with_capacity(64),
+        covered: HEADER_LEN,
+        crc: Crc::new(),
+    };
+    sink.pending.extend_from_slice(&MAGIC);
+    sink.pending.extend_from_slice(&VERSION.to_le_bytes());
+    sink.pending.push(frame.type_byte());
+    sink.pending.extend_from_slice(&tag.to_le_bytes());
+    sink.pending.extend_from_slice(&len.to_le_bytes());
+    emit_payload(frame, &mut sink)?;
+    sink.finish()?;
+    Ok(())
+}
+
+/// Encode `frame` with request tag `tag` into a self-contained wire
+/// frame (header + payload + checksum).
+///
+/// # Panics
+/// Panics if the payload exceeds [`MAX_PAYLOAD`].
+pub fn encode_frame(frame: &Frame, tag: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_frame(&mut out, frame, tag).unwrap_or_else(|e| panic!("cannot encode frame: {e}"));
+    out
+}
+
+// ------------------------------------------------------------- decoding
+
+fn map_eof(e: io::Error) -> ProtoError {
+    if e.kind() == io::ErrorKind::UnexpectedEof {
+        ProtoError::Truncated
+    } else {
+        e.into()
+    }
+}
+
+/// The payload of one frame as it streams in: every read is bounded by
+/// what is left of the declared length, and checksummed as it passes.
+struct Payload<'a, R: Read> {
+    stream: &'a mut R,
+    left: usize,
+    crc: Crc,
+}
+
+impl<R: Read> Payload<'_, R> {
+    fn fill(&mut self, dst: &mut [u8]) -> Result<(), ProtoError> {
+        if dst.len() > self.left {
+            return Err(ProtoError::BadPayload);
+        }
+        self.stream.read_exact(dst).map_err(map_eof)?;
+        self.left -= dst.len();
+        self.crc.update(dst);
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ProtoError> {
+        let mut b = [0u8; N];
+        self.fill(&mut b)?;
+        Ok(b)
+    }
+    fn u8(&mut self) -> Result<u8, ProtoError> {
+        Ok(self.array::<1>()?[0])
+    }
+    fn u16(&mut self) -> Result<u16, ProtoError> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+    fn u32(&mut self) -> Result<u32, ProtoError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+    fn u64(&mut self) -> Result<u64, ProtoError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// A `u32` count of `record`-byte entries (a byte length when
+    /// `record` is 1), rejected when what is left of the declared
+    /// payload cannot hold them — before anything is allocated.
+    fn count(&mut self, record: usize) -> Result<usize, ProtoError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(record) > self.left {
+            return Err(ProtoError::BadPayload);
+        }
+        Ok(n)
+    }
+
+    fn string(&mut self) -> Result<String, ProtoError> {
+        let mut raw = vec![0u8; self.count(1)?];
+        self.fill(&mut raw)?;
+        String::from_utf8(raw).map_err(|_| ProtoError::BadUtf8)
+    }
+
+    /// Bulk bytes, read straight into the buffer the receiver keeps.
+    fn bulk(&mut self) -> Result<Arc<AlignedBuf>, ProtoError> {
+        let mut buf = AlignedBuf::zeroed(self.count(1)?);
+        self.fill(buf.as_bytes_mut())?;
+        Ok(Arc::new(buf))
+    }
+
+    /// Consume what is left of the payload and the trailing checksum,
+    /// then settle the frame. The error precedence matches a decoder
+    /// that checksums the whole payload before parsing it: truncation
+    /// first, then the checksum, then structural errors.
+    fn finish(mut self, parsed: Result<Frame, ProtoError>) -> Result<Frame, ProtoError> {
+        if let Err(e @ (ProtoError::Truncated | ProtoError::Io(_))) = parsed {
+            return Err(e);
+        }
+        let trailing = self.left > 0;
+        let mut scratch = [0u8; 8192];
+        while self.left > 0 {
+            let n = self.left.min(scratch.len());
+            self.fill(&mut scratch[..n])?;
+        }
+        let mut declared = [0u8; 4];
+        self.stream.read_exact(&mut declared).map_err(map_eof)?;
+        if self.crc.finish() != u32::from_le_bytes(declared) {
+            return Err(ProtoError::BadChecksum);
+        }
+        let frame = parsed?;
+        if trailing {
+            // The whole payload must be consumed: trailing garbage is
+            // malformed.
+            return Err(ProtoError::BadPayload);
+        }
+        Ok(frame)
+    }
+}
+
+/// Parse the payload of a frame of type `ty`.
+fn parse_payload(ty: u8, p: &mut Payload<'_, impl Read>) -> Result<Frame, ProtoError> {
+    Ok(match ty {
         1 => Frame::Hello {
-            name: r.string()?,
-            smp_workers: r.u32()?,
-            simd_tier: r.string()?,
-            hints: r.string()?,
+            name: p.string()?,
+            smp_workers: p.u32()?,
+            simd_tier: p.string()?,
+            hints: p.string()?,
         },
-        2 => Frame::Welcome { node_id: r.u16()?, hints: r.string()? },
-        3 => Frame::Ship { data: r.u32()?, bytes: r.bytes()? },
+        2 => Frame::Welcome { node_id: p.u16()?, hints: p.string()? },
+        3 => Frame::Ship { data: p.u32()?, bytes: p.bulk()? },
         4 => Frame::ShipAck,
         5 => {
-            let task = r.u64()?;
-            let template = r.string()?;
-            let version = r.u16()?;
-            let attempt = r.u32()?;
-            let n = r.u32()?;
-            // Each access is 29 bytes; reject counts the payload can't hold.
-            if (n as usize).saturating_mul(29) > payload.len() {
-                return Err(ProtoError::BadPayload);
-            }
-            let mut accesses = Vec::with_capacity(n as usize);
+            let task = p.u64()?;
+            let template = p.string()?;
+            let version = p.u16()?;
+            let attempt = p.u32()?;
+            // Each access is 29 bytes.
+            let n = p.count(29)?;
+            let mut accesses = Vec::with_capacity(n);
             for _ in 0..n {
                 accesses.push(WireAccess {
-                    data: r.u32()?,
-                    offset: r.u64()?,
-                    len: r.u64()?,
-                    alloc_len: r.u64()?,
-                    mode: match r.u8()? {
+                    data: p.u32()?,
+                    offset: p.u64()?,
+                    len: p.u64()?,
+                    alloc_len: p.u64()?,
+                    mode: match p.u8()? {
                         m @ 0..=2 => m,
                         _ => return Err(ProtoError::BadPayload),
                     },
@@ -374,82 +593,33 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
             Frame::Exec { task, template, version, attempt, accesses }
         }
         6 => {
-            let kernel_ns = r.u64()?;
-            let n = r.u32()?;
-            if (n as usize).saturating_mul(8) > payload.len() {
-                return Err(ProtoError::BadPayload);
-            }
-            let mut writes = Vec::with_capacity(n as usize);
+            let kernel_ns = p.u64()?;
+            // Each write is at least an id and a length prefix.
+            let n = p.count(8)?;
+            let mut writes = Vec::with_capacity(n);
             for _ in 0..n {
-                writes.push((r.u32()?, r.bytes()?));
+                writes.push((p.u32()?, p.bulk()?));
             }
             Frame::ExecOk { kernel_ns, writes }
         }
-        7 => Frame::ExecErr { message: r.string()? },
+        7 => Frame::ExecErr { message: p.string()? },
         8 => Frame::Heartbeat,
         9 => Frame::HeartbeatAck,
-        10 => Frame::Shutdown { hints: r.string()? },
+        10 => Frame::Shutdown { hints: p.string()? },
         11 => Frame::ShutdownAck,
+        12 => Frame::Free { data: p.u32()? },
         t => return Err(ProtoError::BadFrameType(t)),
-    };
-    r.finish()?;
-    Ok(frame)
+    })
 }
-
-/// Encode `frame` with request tag `tag` into a self-contained wire
-/// frame (header + payload + checksum).
-pub fn encode_frame(frame: &Frame, tag: u64) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-    out.extend_from_slice(&MAGIC);
-    put_u16(&mut out, VERSION);
-    out.push(frame.type_byte());
-    put_u64(&mut out, tag);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
-    put_u32(&mut out, crc32(&payload));
-    out
-}
-
-/// Decode one frame from the front of `buf`. Returns the frame, its
-/// tag, and the number of bytes consumed. `Err(Truncated)` means "feed
-/// me more bytes"; every other error is a permanent protocol violation.
-pub fn decode_frame(buf: &[u8]) -> Result<(Frame, u64, usize), ProtoError> {
-    if buf.len() < HEADER_LEN {
-        return Err(ProtoError::Truncated);
-    }
-    if buf[0..2] != MAGIC {
-        return Err(ProtoError::BadMagic);
-    }
-    let version = u16::from_le_bytes(buf[2..4].try_into().unwrap());
-    if version != VERSION {
-        return Err(ProtoError::BadVersion(version));
-    }
-    let ty = buf[4];
-    let tag = u64::from_le_bytes(buf[5..13].try_into().unwrap());
-    let len = u32::from_le_bytes(buf[13..17].try_into().unwrap());
-    if len > MAX_PAYLOAD {
-        return Err(ProtoError::BadLength(len));
-    }
-    let total = HEADER_LEN + len as usize + 4;
-    if buf.len() < total {
-        return Err(ProtoError::Truncated);
-    }
-    let payload = &buf[HEADER_LEN..HEADER_LEN + len as usize];
-    let declared = u32::from_le_bytes(buf[total - 4..total].try_into().unwrap());
-    if crc32(payload) != declared {
-        return Err(ProtoError::BadChecksum);
-    }
-    let frame = decode_payload(ty, payload)?;
-    Ok((frame, tag, total))
-}
-
-// --------------------------------------------------------- stream framing
 
 /// Read exactly one frame from a blocking stream. Distinguishes a clean
 /// EOF *between* frames (`Ok(None)`) from truncation *inside* one
 /// (`Err(Truncated)`).
-pub fn read_frame(stream: &mut impl std::io::Read) -> Result<Option<(Frame, u64)>, ProtoError> {
+///
+/// Small fields are read piecewise, so wrap a socket in a
+/// [`std::io::BufReader`]; bulk reads larger than its buffer bypass it
+/// and land directly in the frame's [`AlignedBuf`].
+pub fn read_frame(stream: &mut impl Read) -> Result<Option<(Frame, u64)>, ProtoError> {
     let mut header = [0u8; HEADER_LEN];
     // First byte decides clean-EOF vs truncated.
     match stream.read(&mut header[..1]) {
@@ -461,51 +631,93 @@ pub fn read_frame(stream: &mut impl std::io::Read) -> Result<Option<(Frame, u64)
     if header[0..2] != MAGIC {
         return Err(ProtoError::BadMagic);
     }
-    let version = u16::from_le_bytes(header[2..4].try_into().unwrap());
+    let version = u16::from_le_bytes([header[2], header[3]]);
     if version != VERSION {
         return Err(ProtoError::BadVersion(version));
     }
-    let len = u32::from_le_bytes(header[13..17].try_into().unwrap());
+    let ty = header[4];
+    let tag = u64::from_le_bytes(header[5..13].try_into().expect("8-byte tag field"));
+    let len = u32::from_le_bytes(header[13..17].try_into().expect("4-byte length field"));
     if len > MAX_PAYLOAD {
         return Err(ProtoError::BadLength(len));
     }
-    let mut rest = vec![0u8; len as usize + 4];
-    stream.read_exact(&mut rest).map_err(map_eof)?;
-    let mut whole = Vec::with_capacity(HEADER_LEN + rest.len());
-    whole.extend_from_slice(&header);
-    whole.extend_from_slice(&rest);
-    let (frame, tag, _) = decode_frame(&whole)?;
-    Ok(Some((frame, tag)))
+    let mut payload = Payload { stream, left: len as usize, crc: Crc::new() };
+    let parsed = parse_payload(ty, &mut payload);
+    Ok(Some((payload.finish(parsed)?, tag)))
 }
 
-fn map_eof(e: std::io::Error) -> ProtoError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        ProtoError::Truncated
-    } else {
-        e.into()
+/// Decode one frame from the front of `buf`. Returns the frame, its
+/// tag, and the number of bytes consumed. `Err(Truncated)` means "feed
+/// me more bytes"; every other error is a permanent protocol violation.
+pub fn decode_frame(buf: &[u8]) -> Result<(Frame, u64, usize), ProtoError> {
+    let mut rest = buf;
+    match read_frame(&mut rest)? {
+        Some((frame, tag)) => Ok((frame, tag, buf.len() - rest.len())),
+        None => Err(ProtoError::Truncated),
     }
-}
-
-/// Write one frame to a blocking stream.
-pub fn write_frame(
-    stream: &mut impl std::io::Write,
-    frame: &Frame,
-    tag: u64,
-) -> Result<(), ProtoError> {
-    stream.write_all(&encode_frame(frame, tag))?;
-    stream.flush()?;
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The bytewise CRC the slicing tables replaced, kept as the
+    /// reference the fast path must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    fn buf(bytes: &[u8]) -> Arc<AlignedBuf> {
+        Arc::new(AlignedBuf::from_bytes(bytes))
+    }
+
+    /// Seal `payload` as a frame of type `ty` with a correct checksum.
+    fn seal(ty: u8, payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&MAGIC);
+        wire.extend_from_slice(&VERSION.to_le_bytes());
+        wire.push(ty);
+        wire.extend_from_slice(&0u64.to_le_bytes());
+        wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wire.extend_from_slice(payload);
+        wire.extend_from_slice(&crc32(payload).to_le_bytes());
+        wire
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The classic "123456789" IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference() {
+        // Every length through several 16-byte blocks plus remainders,
+        // at every start alignment.
+        let data: Vec<u8> =
+            (0..2048 + 16u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=2048 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_streams_across_splits() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 7 + 3) as u8).collect();
+        for cut in [0, 1, 15, 16, 17, 500, 999, 1000] {
+            let mut crc = Crc::new();
+            crc.update(&data[..cut]);
+            crc.update(&data[cut..]);
+            assert_eq!(crc.finish(), crc32_bytewise(&data), "cut at {cut}");
+        }
     }
 
     #[test]
@@ -536,6 +748,29 @@ mod tests {
     }
 
     #[test]
+    fn free_frame_round_trips() {
+        let f = Frame::Free { data: 0xDEAD };
+        let wire = encode_frame(&f, 3);
+        assert_eq!(wire.len(), HEADER_LEN + 4 + 4);
+        assert_eq!(decode_frame(&wire).unwrap(), (f, 3, wire.len()));
+    }
+
+    #[test]
+    fn bulk_frames_round_trip() {
+        let big: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        for f in [
+            Frame::Ship { data: 4, bytes: buf(&big) },
+            Frame::ExecOk {
+                kernel_ns: 9,
+                writes: vec![(1, buf(&big)), (2, buf(b"tiny")), (3, buf(&big[..4096]))],
+            },
+        ] {
+            let wire = encode_frame(&f, 11);
+            assert_eq!(decode_frame(&wire).unwrap(), (f, 11, wire.len()));
+        }
+    }
+
+    #[test]
     fn bad_mode_is_rejected() {
         let f = Frame::Exec {
             task: 1,
@@ -558,27 +793,17 @@ mod tests {
 
     #[test]
     fn trailing_garbage_in_payload_is_rejected() {
-        let mut payload = encode_payload(&Frame::Heartbeat);
-        payload.push(0xAB);
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&MAGIC);
-        wire.extend_from_slice(&VERSION.to_le_bytes());
-        wire.push(8);
-        wire.extend_from_slice(&0u64.to_le_bytes());
-        wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&payload);
-        wire.extend_from_slice(&crc32(&payload).to_le_bytes());
-        assert_eq!(decode_frame(&wire), Err(ProtoError::BadPayload));
+        assert_eq!(decode_frame(&seal(8, &[0xAB])), Err(ProtoError::BadPayload));
     }
 
     #[test]
     fn stream_read_write_round_trip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Frame::Ship { data: 9, bytes: vec![1, 2, 3] }, 5).unwrap();
-        write_frame(&mut buf, &Frame::ShipAck, 5).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Frame::Ship { data: 9, bytes: buf(&[1, 2, 3]) }, 5).unwrap();
+        write_frame(&mut wire, &Frame::ShipAck, 5).unwrap();
+        let mut cursor = io::Cursor::new(wire);
         let (f1, t1) = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!((f1, t1), (Frame::Ship { data: 9, bytes: vec![1, 2, 3] }, 5));
+        assert_eq!((f1, t1), (Frame::Ship { data: 9, bytes: buf(&[1, 2, 3]) }, 5));
         let (f2, _) = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(f2, Frame::ShipAck);
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF between frames");
@@ -587,7 +812,7 @@ mod tests {
     #[test]
     fn eof_inside_frame_is_truncated() {
         let wire = encode_frame(&Frame::Heartbeat, 1);
-        let mut cursor = std::io::Cursor::new(&wire[..wire.len() - 2]);
+        let mut cursor = io::Cursor::new(&wire[..wire.len() - 2]);
         assert_eq!(read_frame(&mut cursor), Err(ProtoError::Truncated));
     }
 }

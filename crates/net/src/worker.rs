@@ -8,22 +8,28 @@
 //!
 //! Serve loop semantics:
 //!
-//! * `Ship` — store the bytes in the local arena (host space), ack.
-//!   Handled inline: shipments are ordered with respect to the
-//!   executions the coordinator issues after them.
-//! * `Exec` — spawned onto its own thread, so a node with N advertised
-//!   workers really executes N tasks concurrently and heartbeats keep
-//!   being answered while kernels run. Kernel panics are caught and
-//!   reported as `ExecErr` — the connection survives.
+//! * `Ship` — install the received buffer in the local arena (host
+//!   space; the frame reader filled it, so no copy), ack. Handled
+//!   inline: shipments are ordered with respect to the executions the
+//!   coordinator issues after them.
+//! * `Exec` — queued to the node's exec threads: one per advertised
+//!   worker, started at join and joined at shutdown, so a node with N
+//!   advertised workers really executes N tasks concurrently and
+//!   heartbeats keep being answered while kernels run. Kernel panics are
+//!   caught and reported as `ExecErr` — the connection survives. Written
+//!   buffers go back in `ExecOk` straight from the arena.
+//! * `Free` — drop the allocation's buffer (one-way, no reply).
 //! * `Heartbeat` — acked inline.
 //! * `Shutdown` — cache the coordinator's gossiped hints to the
 //!   configured file (warmth for the next join), ack, exit.
 
-use crate::protocol::{read_frame, write_frame, Frame, ProtoError};
+use crate::link::READ_BUFFER;
+use crate::protocol::{read_frame, write_frame, Frame, ProtoError, WireAccess};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use versa_core::{SchedulerKind, VersionId};
 use versa_mem::{AccessMode, DataId, MemSpace, Region};
 use versa_runtime::{DetachedExecutor, NativeConfig, Runtime, RuntimeConfig};
@@ -68,6 +74,10 @@ pub struct WorkerReport {
     pub execs: u64,
     /// Shipments received.
     pub ships: u64,
+    /// Bytes still held in the worker's arena when it stopped serving:
+    /// 0 once the coordinator freed everything it shipped or had
+    /// written here.
+    pub resident_bytes: u64,
 }
 
 /// Run a worker to completion: dial the coordinator, serve until it
@@ -111,50 +121,108 @@ pub fn run_worker(
     let hints_applied =
         if hints.is_empty() { 0 } else { rt.load_hints(&hints).map(|(a, _)| a).unwrap_or(0) };
 
-    let executor = Arc::new(rt.detach_executor().expect("native runtime has an executor"));
-    serve(stream, executor, &cfg, node_id, hints_applied)
+    let executor = rt.detach_executor().expect("native runtime has an executor");
+    serve(stream, &executor, &cfg, node_id, hints_applied)
 }
 
 fn versa_kernels_tier() -> String {
     versa_kernels::simd::active_tier().name().to_string()
 }
 
+/// One `Exec` waiting for a node exec thread.
+struct ExecJob {
+    tag: u64,
+    template: String,
+    version: u16,
+    accesses: Vec<WireAccess>,
+}
+
 fn serve(
     stream: TcpStream,
-    executor: Arc<DetachedExecutor>,
+    executor: &DetachedExecutor,
     cfg: &WorkerConfig,
     node_id: u16,
     hints_applied: usize,
 ) -> Result<WorkerReport, ProtoError> {
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let mut reader = stream;
-    let execs = Arc::new(AtomicU64::new(0));
+    let writer = Mutex::new(stream.try_clone()?);
+    let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
+    let execs = AtomicU64::new(0);
     let mut ships = 0u64;
+    let (jobs, queue) = mpsc::channel::<ExecJob>();
+    let queue = Mutex::new(queue);
 
-    // Loop ends when the coordinator sends Shutdown, or drops the
-    // connection without one — from this side the latter is a normal
-    // (if abrupt) end of service.
-    while let Some((frame, tag)) = read_frame(&mut reader)? {
+    std::thread::scope(|s| {
+        let exec_threads: Vec<_> = (0..cfg.smp_workers.max(1))
+            .map(|i| {
+                std::thread::Builder::new()
+                    .name(format!("versa-node-exec-{i}"))
+                    .spawn_scoped(s, || loop {
+                        // The queue lock is released before the kernel runs.
+                        let next = queue.lock().expect("exec queue lock poisoned").recv();
+                        let Ok(job) = next else { break };
+                        let reply = run_exec(executor, &job.template, job.version, &job.accesses);
+                        execs.fetch_add(1, Ordering::SeqCst);
+                        // A dead socket surfaces on the serve loop's read.
+                        let _ = write_frame(
+                            &mut *writer.lock().expect("worker socket lock poisoned"),
+                            &reply,
+                            job.tag,
+                        );
+                    })
+                    .expect("spawn node exec thread")
+            })
+            .collect();
+
+        let served = serve_frames(&mut reader, &writer, executor, &jobs, cfg, &mut ships);
+        // Queued executions drain, then the exec threads exit.
+        drop(jobs);
+        let panicked = exec_threads.into_iter().map(|t| t.join()).filter(Result::is_err).count();
+        served?;
+        if panicked > 0 {
+            return Err(ProtoError::Io(format!("{panicked} node exec thread(s) panicked")));
+        }
+        Ok(())
+    })?;
+
+    Ok(WorkerReport {
+        node_id,
+        hints_applied,
+        execs: execs.into_inner(),
+        ships,
+        resident_bytes: executor.arena().resident_bytes(),
+    })
+}
+
+/// The serve loop proper. Ends when the coordinator sends Shutdown, or
+/// drops the connection without one — from this side the latter is a
+/// normal (if abrupt) end of service.
+fn serve_frames(
+    reader: &mut BufReader<TcpStream>,
+    writer: &Mutex<TcpStream>,
+    executor: &DetachedExecutor,
+    jobs: &mpsc::Sender<ExecJob>,
+    cfg: &WorkerConfig,
+    ships: &mut u64,
+) -> Result<(), ProtoError> {
+    while let Some((frame, tag)) = read_frame(reader)? {
         match frame {
             Frame::Ship { data, bytes } => {
-                let arena = executor.arena();
-                arena.ensure(DataId(data), MemSpace::HOST, bytes.len());
-                arena.write(DataId(data), MemSpace::HOST, &bytes);
-                ships += 1;
+                // DataIds are never reused, so a re-shipment of a
+                // different length is a coordinator bug.
+                executor
+                    .arena()
+                    .install(DataId(data), MemSpace::HOST, bytes)
+                    .map_err(|_| ProtoError::BadPayload)?;
+                *ships += 1;
                 write_frame(&mut *writer.lock().unwrap(), &Frame::ShipAck, tag)?;
             }
+            Frame::Free { data } => executor.arena().free(DataId(data)),
             Frame::Heartbeat => {
                 write_frame(&mut *writer.lock().unwrap(), &Frame::HeartbeatAck, tag)?;
             }
             Frame::Exec { template, version, accesses, .. } => {
-                let executor = Arc::clone(&executor);
-                let writer = Arc::clone(&writer);
-                let execs = Arc::clone(&execs);
-                std::thread::spawn(move || {
-                    let reply = run_exec(&executor, &template, version, &accesses);
-                    execs.fetch_add(1, Ordering::SeqCst);
-                    let _ = write_frame(&mut *writer.lock().unwrap(), &reply, tag);
-                });
+                let job = ExecJob { tag, template, version, accesses };
+                jobs.send(job).map_err(|_| ProtoError::Io("node exec threads are gone".into()))?;
             }
             Frame::Shutdown { hints } => {
                 if let Some(path) = &cfg.hints_cache {
@@ -170,8 +238,7 @@ fn serve(
             _ => {}
         }
     }
-
-    Ok(WorkerReport { node_id, hints_applied, execs: execs.load(Ordering::SeqCst), ships })
+    Ok(())
 }
 
 /// Execute one dispatched task against the local arena and build the
@@ -180,7 +247,7 @@ fn run_exec(
     executor: &DetachedExecutor,
     template: &str,
     version: u16,
-    accesses: &[crate::protocol::WireAccess],
+    accesses: &[WireAccess],
 ) -> Frame {
     let arena = executor.arena();
     let mut typed = Vec::with_capacity(accesses.len());
@@ -200,10 +267,7 @@ fn run_exec(
             let writes = typed
                 .iter()
                 .filter(|(_, mode)| *mode != AccessMode::In)
-                .map(|(region, _)| {
-                    let bytes = arena.read_arc(region.data, MemSpace::HOST).as_bytes().to_vec();
-                    (region.data.0, bytes)
-                })
+                .map(|(region, _)| (region.data.0, arena.read_arc(region.data, MemSpace::HOST)))
                 .collect();
             Frame::ExecOk { kernel_ns: kernel_time.as_nanos() as u64, writes }
         }

@@ -210,3 +210,78 @@ fn abrupt_disconnect_is_reaped_and_rejoin_enters_probation() {
     cluster.shutdown(&rt);
     w.join().unwrap().unwrap();
 }
+
+#[test]
+fn freed_data_leaves_the_node() {
+    let mut rt = coordinator();
+    let mut cluster = Cluster::listen("127.0.0.1:0").unwrap();
+    let addr = cluster.local_addr().unwrap().to_string();
+    let w = std::thread::spawn(move || {
+        versa_net::run_worker(WorkerConfig::new(addr, 2), register_scale2)
+    });
+    cluster.accept_node(&mut rt).unwrap();
+
+    // Two alloc/run/free rounds on one membership: every tile shipped to
+    // or written on the node must be dropped there when it is freed.
+    let tpl = rt.templates().by_name("scale2").unwrap();
+    for round in 0..2 {
+        let ids: Vec<DataId> =
+            (0..8).map(|i| rt.alloc_from_f64(&[i as f64, round as f64, 1.5, -2.0])).collect();
+        for _ in 0..3 {
+            for &id in &ids {
+                rt.task(tpl).read_write(id).submit();
+            }
+        }
+        rt.run().expect("run failed");
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(rt.read_f64(id), vec![8.0 * i as f64, 8.0 * round as f64, 12.0, -16.0]);
+            rt.free(id);
+        }
+    }
+
+    cluster.shutdown(&rt);
+    let report = w.join().unwrap().expect("worker must shut down cleanly");
+    assert!(report.ships > 0 && report.execs > 0, "the node never held any data: {report:?}");
+    assert_eq!(report.resident_bytes, 0, "freed allocations must not stay resident on the node");
+}
+
+#[test]
+fn node_exec_threads_persist_across_waves() {
+    use std::collections::HashSet;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
+
+    // The node records which of its threads ran a kernel; the
+    // coordinator's own copy of the kernel does not record.
+    let seen: Arc<Mutex<HashSet<ThreadId>>> = Arc::default();
+    let mut rt = coordinator();
+    let mut cluster = Cluster::listen("127.0.0.1:0").unwrap();
+    let addr = cluster.local_addr().unwrap().to_string();
+    let node_seen = Arc::clone(&seen);
+    let w = std::thread::spawn(move || {
+        versa_net::run_worker(WorkerConfig::new(addr, 1), move |rt: &mut Runtime| {
+            let tpl = rt.template("scale2").main("smp", &[DeviceKind::Smp]).register();
+            rt.bind_native(tpl, VersionId(0), move |ctx| {
+                node_seen.lock().unwrap().insert(std::thread::current().id());
+                for v in ctx.f64_mut(0) {
+                    *v *= 2.0;
+                }
+            });
+        })
+    });
+    cluster.accept_node(&mut rt).unwrap();
+
+    let mut waves = Vec::new();
+    for _ in 0..2 {
+        submit_and_run(&mut rt, 8, 3);
+        waves.push(std::mem::take(&mut *seen.lock().unwrap()));
+    }
+    cluster.shutdown(&rt);
+    w.join().unwrap().expect("worker must shut down cleanly");
+
+    assert!(!waves[0].is_empty() && !waves[1].is_empty(), "both waves ran remote kernels");
+    assert!(
+        waves[1].is_subset(&waves[0]),
+        "wave 2 ran remote kernels on threads wave 1 never used: {waves:?}"
+    );
+}

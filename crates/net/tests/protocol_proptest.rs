@@ -4,6 +4,8 @@
 //! decodes to a wrong frame. Decoding returns typed [`ProtoError`]s.
 
 use proptest::prelude::*;
+use std::sync::Arc;
+use versa_mem::AlignedBuf;
 use versa_net::protocol::{
     crc32, decode_frame, encode_frame, read_frame, Frame, ProtoError, WireAccess, HEADER_LEN,
     MAGIC, MAX_PAYLOAD, VERSION,
@@ -16,6 +18,10 @@ fn small_string() -> impl Strategy<Value = String> {
 
 fn small_bytes() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..255, 0..64)
+}
+
+fn shared(bytes: &[u8]) -> Arc<AlignedBuf> {
+    Arc::new(AlignedBuf::from_bytes(bytes))
 }
 
 fn access_strategy() -> impl Strategy<Value = WireAccess> {
@@ -35,7 +41,8 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
             }
         ),
         (0u16..256, small_string()).prop_map(|(node_id, hints)| Frame::Welcome { node_id, hints }),
-        (0u32..1000, small_bytes()).prop_map(|(data, bytes)| Frame::Ship { data, bytes }),
+        (0u32..1000, small_bytes())
+            .prop_map(|(data, bytes)| Frame::Ship { data, bytes: shared(&bytes) }),
         Just(Frame::ShipAck),
         (
             0u64..10_000,
@@ -51,8 +58,12 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
                 attempt,
                 accesses
             }),
-        (0u64..u64::MAX, proptest::collection::vec((0u32..1000, small_bytes()), 0..4))
-            .prop_map(|(kernel_ns, writes)| Frame::ExecOk { kernel_ns, writes }),
+        (0u64..u64::MAX, proptest::collection::vec((0u32..1000, small_bytes()), 0..4)).prop_map(
+            |(kernel_ns, writes)| Frame::ExecOk {
+                kernel_ns,
+                writes: writes.into_iter().map(|(data, bytes)| (data, shared(&bytes))).collect(),
+            }
+        ),
         small_string().prop_map(|message| Frame::ExecErr { message }),
         Just(Frame::Heartbeat),
         Just(Frame::HeartbeatAck),
@@ -129,8 +140,8 @@ proptest! {
 #[test]
 fn version_mismatch_is_typed() {
     let mut wire = encode_frame(&Frame::Heartbeat, 1);
-    wire[2..4].copy_from_slice(&2u16.to_le_bytes());
-    assert_eq!(decode_frame(&wire), Err(ProtoError::BadVersion(2)));
+    wire[2..4].copy_from_slice(&(VERSION + 1).to_le_bytes());
+    assert_eq!(decode_frame(&wire), Err(ProtoError::BadVersion(VERSION + 1)));
 }
 
 #[test]

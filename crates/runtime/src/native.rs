@@ -334,9 +334,9 @@ struct WorkFailure {
 
 /// The exec side of a remote worker: the kernel runs on the remote
 /// machine. Copy-ins were already shipped at transfer time, so the
-/// request carries only metadata; returned output buffers are written
-/// back into the coordinator's mirror space before completion is
-/// reported, keeping every later read local.
+/// request carries only metadata; returned output buffers are installed
+/// in the coordinator's mirror space before completion is reported,
+/// keeping every later read local.
 fn execute_remote(
     node: &dyn crate::remote::RemoteNode,
     arena: &Arena,
@@ -365,8 +365,18 @@ fn execute_remote(
     };
     match node.exec(&req) {
         Ok(reply) => {
-            for (data, bytes) in &reply.writes {
-                arena.write(*data, space, bytes);
+            for (data, buf) in reply.writes {
+                let got = buf.len();
+                if let Err(want) = arena.install(data, space, buf) {
+                    // A node answering with the wrong shape is broken,
+                    // not the kernel: retire it like a dead link.
+                    return Err(WorkFailure {
+                        message: format!(
+                            "protocol violation: {data:?} written back as {got} bytes, expected {want}"
+                        ),
+                        kind: FailureKind::NodeLost,
+                    });
+                }
             }
             Ok(reply.kernel_time)
         }
@@ -1197,8 +1207,7 @@ impl Coordinator<'_> {
             // scheduler's bandwidth EWMA learns the link. A transport
             // error is deferred: the exec on the dead node fails with
             // `NodeLost` and the retry machinery takes over.
-            let buf = self.arena.read_arc(t.data, t.to);
-            let _ = node.ship(t.data, buf.as_bytes());
+            let _ = node.ship(t.data, self.arena.read_arc(t.data, t.to));
         }
         throttle_link(self.link_bandwidth, t.bytes, t0.elapsed());
         let took = t0.elapsed();

@@ -16,13 +16,17 @@
 //!   space, the engine performs the local `memcpy` *and* ships the bytes
 //!   through [`RemoteNode::ship`] inside the same timed window — the
 //!   elapsed time fed to `transfer_done` includes the wire round-trip,
-//!   so the EWMA measures the real NIC.
+//!   so the EWMA measures the real NIC. The transport gets the mirror
+//!   buffer itself (`Arc<AlignedBuf>`), not a copy of its bytes.
 //! * **Execution**: the remote worker's exec thread forwards the task
 //!   through [`RemoteNode::exec`] (template *name* + version — closures
 //!   don't cross the wire; the remote process binds its own kernels) and
-//!   writes the returned output buffers back into the mirror space. All
-//!   later reads (flushes, dependent tasks) hit the mirror, never the
-//!   network.
+//!   installs the returned output buffers in the mirror space
+//!   ([`Arena::install`](versa_mem::Arena::install): no copy). All later
+//!   reads (flushes, dependent tasks) hit the mirror, never the network.
+//! * **Free**: [`Runtime::try_free`](crate::Runtime::try_free) tells every
+//!   node whose mirror held the allocation to drop its copy
+//!   ([`RemoteNode::free`]), so a node's memory tracks the live data.
 //! * **Loss**: a transport error surfaces as
 //!   [`RemoteError::Lost`]; the engine retires every worker of the node,
 //!   fails in-flight tasks with [`FailureKind::NodeLost`](versa_core::FailureKind)
@@ -33,7 +37,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use versa_core::{TaskId, VersionId};
-use versa_mem::{AccessMode, DataId, MemSpace, Region};
+use versa_mem::{AccessMode, AlignedBuf, DataId, MemSpace, Region};
 
 /// Capabilities a remote node advertises at registration (the hello
 /// handshake's payload, transport-agnostic).
@@ -100,14 +104,14 @@ pub struct RemoteExec {
 }
 
 /// A successful remote execution: the measured kernel time and the full
-/// bytes of every written allocation, to be written back into the
+/// buffer of every written allocation, to be installed in the
 /// coordinator's mirror space.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RemoteDone {
     /// Wall-clock kernel time on the node.
     pub kernel_time: Duration,
-    /// `(allocation, full buffer bytes)` for every written allocation.
-    pub writes: Vec<(DataId, Vec<u8>)>,
+    /// `(allocation, full buffer)` for every written allocation.
+    pub writes: Vec<(DataId, Arc<AlignedBuf>)>,
 }
 
 /// Transport to one remote node, as the coordinator drives it. Blocking
@@ -119,12 +123,17 @@ pub trait RemoteNode: Send + Sync {
     fn caps(&self) -> RemoteCaps;
 
     /// Ship the full bytes of `data` to the node, blocking until the
-    /// node acknowledges receipt. The engine times this call; the
+    /// node acknowledges receipt. `bytes` is the mirror buffer itself,
+    /// shared rather than copied. The engine times this call; the
     /// elapsed time is the NIC bandwidth sample.
-    fn ship(&self, data: DataId, bytes: &[u8]) -> Result<(), RemoteError>;
+    fn ship(&self, data: DataId, bytes: Arc<AlignedBuf>) -> Result<(), RemoteError>;
 
     /// Execute a task on the node, blocking until it completes or fails.
     fn exec(&self, req: &RemoteExec) -> Result<RemoteDone, RemoteError>;
+
+    /// Tell the node that `data` was freed, so it drops its copy
+    /// (one-way and best-effort; default no-op).
+    fn free(&self, _data: DataId) {}
 
     /// Ask the node to shut down cleanly (best-effort; default no-op).
     fn shutdown(&self) {}

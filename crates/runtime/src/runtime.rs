@@ -424,7 +424,7 @@ impl Runtime {
     }
 
     /// Free a runtime-managed allocation: the directory forgets it and
-    /// (in native mode) every copy is dropped.
+    /// (in native mode) every copy is dropped, remote nodes' included.
     ///
     /// # Panics
     /// Panics if tasks touching the allocation are still pending or in
@@ -449,6 +449,13 @@ impl Runtime {
         self.directory.unregister(id);
         self.graph.forget_data(id);
         if let EngineKind::Native { arena, .. } = &self.engine {
+            // A node holds a copy only if its mirror space does: every
+            // shipment and every written-back output lands there too.
+            for remote in &self.remotes {
+                if arena.has(id, remote.space) {
+                    remote.node.free(id);
+                }
+            }
             arena.free(id);
         }
         Ok(())

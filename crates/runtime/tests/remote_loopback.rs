@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use versa_core::{DeviceKind, FailureKind, SchedulerKind, VersionId};
-use versa_mem::{DataId, MemSpace};
+use versa_mem::{AlignedBuf, DataId, MemSpace};
 use versa_runtime::{
     NativeConfig, RemoteCaps, RemoteDone, RemoteError, RemoteExec, RemoteNode, Runtime,
     RuntimeConfig,
@@ -49,12 +49,12 @@ impl RemoteNode for MockNode {
         }
     }
 
-    fn ship(&self, data: DataId, bytes: &[u8]) -> Result<(), RemoteError> {
+    fn ship(&self, data: DataId, bytes: Arc<AlignedBuf>) -> Result<(), RemoteError> {
         if self.execs.load(Ordering::SeqCst) >= self.fail_after {
             return Err(RemoteError::Lost("connection reset".into()));
         }
         self.ships.fetch_add(1, Ordering::SeqCst);
-        self.store.lock().unwrap().insert(data, bytes.to_vec());
+        self.store.lock().unwrap().insert(data, bytes.as_bytes().to_vec());
         Ok(())
     }
 
@@ -79,7 +79,7 @@ impl RemoteNode for MockNode {
         }
         Ok(RemoteDone {
             kernel_time: Duration::from_micros(50),
-            writes: vec![(acc.region.data, bytes.clone())],
+            writes: vec![(acc.region.data, Arc::new(AlignedBuf::from_bytes(bytes)))],
         })
     }
 }
